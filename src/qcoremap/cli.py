@@ -101,21 +101,13 @@ def main(argv=None) -> int:
             if result.saturation_value is not None:
                 print(f"saturation: A={result.saturation_value} "
                       f"latency_us={result.saturation_latency_us:g}", file=sys.stderr)
-            import io
-
-            buf = io.StringIO()
-            write_sweep_csv(result, buf)
-            _emit(buf.getvalue(), args.out)
+            write_sweep_csv(result, args.out or sys.stdout)
         else:
             ks = [int(v) for v in args.k_list.split(",") if v.strip()]
             result = sweep_cores(program, profile, params, ks, cfg, args.epsilon, args.seed)
             for k, why in result.skipped:
                 print(f"warning: skipped k={k}: {why}", file=sys.stderr)
-            import io
-
-            buf = io.StringIO()
-            write_sweep_csv(result, buf)
-            _emit(buf.getvalue(), args.out)
+            write_sweep_csv(result, args.out or sys.stdout)
     except NetlistError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 3

@@ -12,8 +12,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from . import __version__
 from .binding import Binding, bind_parts
 from .errors import ConfigError
@@ -57,8 +55,8 @@ class KernelMapping:
     dmat: DelayMatrix
     binding: Binding
     lev: LevelizedDurations
-    schedule: MappedSchedule
     timings_ms: dict[str, float]
+    schedule: MappedSchedule | None = None  # set once a budget is chosen
 
 
 @dataclass
@@ -80,8 +78,10 @@ class MappingReport:
         return ASSUMPTIONS
 
 
-def _map_kernel(rep_id, kernel, profile, params, cfg, eps, seed, geometry_budget,
-                verify) -> KernelMapping:
+def _prepare_kernel(rep_id, kernel, profile, params, cfg, eps, seed,
+                    geometry_budget) -> KernelMapping:
+    """Every budget-independent step: dependency graph, partition, geometry,
+    delays, binding and quantized durations. The schedule is left unset."""
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
     g = level_graph(build_qodg(kernel, profile))
@@ -102,22 +102,35 @@ def _map_kernel(rep_id, kernel, profile, params, cfg, eps, seed, geometry_budget
 
     t0 = time.perf_counter()
     lev = quantize(g, dmat, cfg)
-    sched = list_schedule(g, part, bnd, params.budget_per_core, lev, dmat.grid)
-    timings["schedule"] = (time.perf_counter() - t0) * 1e3
+    timings["quantize"] = (time.perf_counter() - t0) * 1e3
+    return KernelMapping(rep_id, g, ann, part, d_max, geom, dmat, bnd, lev, timings)
 
-    if verify:
-        ok, violations = verify_schedule(sched, g, part, bnd, params.budget_per_core, lev)
-        if not ok:
-            raise RuntimeError(
-                f"schedule for kernel '{rep_id}' failed verification: " + "; ".join(violations[:5])
-            )
-    return KernelMapping(rep_id, g, ann, part, d_max, geom, dmat, bnd, lev, sched, timings)
+
+def _schedule_kernel(km: KernelMapping, budget_per_core: int) -> MappedSchedule:
+    """List-schedule a prepared kernel under one per-core budget and check
+    the result with the independent verifier."""
+    sched = list_schedule(km.qodg, km.partition, km.binding, budget_per_core, km.lev, km.dmat.grid)
+    ok, violations = verify_schedule(sched, km.qodg, km.partition, km.binding,
+                                     budget_per_core, km.lev)
+    if not ok:
+        raise RuntimeError(
+            f"schedule for kernel '{km.rep_id}' at per-core budget {budget_per_core} "
+            "failed verification: " + "; ".join(violations[:5])
+        )
+    return sched
+
+
+def _program_latency(catalog: KernelCatalog, kernel_latency_us) -> float:
+    """Stages run serially: the sum, in stage order, of each stage's
+    repetition count times kernel_latency_us(representative id)."""
+    return float(sum(count * kernel_latency_us(rep) for _, rep, count in catalog.stage_instances))
 
 
 def map_program(program: KernelProgram, profile: QecProfile, params: FabricParams,
                 cfg: ScheduleConfig | None = None, eps: float = 0.1, seed: int = 0,
-                geometry_budget: int | None = None, verify: bool = True) -> MappingReport:
-    """Run the whole pipeline; each distinct kernel is mapped exactly once."""
+                geometry_budget: int | None = None) -> MappingReport:
+    """Run the whole pipeline; each distinct kernel is mapped exactly once
+    and every schedule is verified."""
     cfg = cfg or ScheduleConfig()
     if not program.sequence.stages:
         raise ConfigError("program contains no operations to map")
@@ -126,15 +139,17 @@ def map_program(program: KernelProgram, profile: QecProfile, params: FabricParam
     needed = {rep for _, rep, _ in catalog.stage_instances}
     kernel_maps: dict[str, KernelMapping] = {}
     for rep_id in sorted(needed):
-        kernel_maps[rep_id] = _map_kernel(
-            rep_id, catalog.representatives[rep_id], profile, params, cfg, eps, seed,
-            geometry_budget, verify,
-        )
+        km = _prepare_kernel(rep_id, catalog.representatives[rep_id], profile, params, cfg,
+                             eps, seed, geometry_budget)
+        t0 = time.perf_counter()
+        km.schedule = _schedule_kernel(km, params.budget_per_core)
+        km.timings_ms["schedule"] = (time.perf_counter() - t0) * 1e3
+        kernel_maps[rep_id] = km
     stages = tuple(
         (kid, rep, count, kernel_maps[rep].schedule.latency_us)
         for kid, rep, count in catalog.stage_instances
     )
-    total = float(sum(count * lat for _, _, count, lat in stages))
+    total = _program_latency(catalog, lambda rep: kernel_maps[rep].schedule.latency_us)
     return MappingReport(
         program, catalog, profile, params, cfg, eps, seed,
         geometry_budget if geometry_budget is not None else params.ancilla_budget,
@@ -238,7 +253,7 @@ class SweepResult:
 
 def sweep_budget(program: KernelProgram, profile: QecProfile, params: FabricParams,
                  budgets, cfg: ScheduleConfig | None = None, eps: float = 0.1,
-                 seed: int = 0, verify: bool = True) -> SweepResult:
+                 seed: int = 0) -> SweepResult:
     """Latency as a function of total ancilla budget.
 
     The fabric geometry (and with it the routing-delay matrix, partition and
@@ -266,30 +281,16 @@ def sweep_budget(program: KernelProgram, profile: QecProfile, params: FabricPara
 
     catalog = identify_kernels(program)
     needed = sorted({rep for _, rep, _ in catalog.stage_instances})
-    prepared = {}
-    for rep_id in needed:
-        g = level_graph(build_qodg(catalog.representatives[rep_id], profile))
-        ann = assign_weight_vectors(g, k)
-        part = kway_partition(g, k, eps, ann, seed)
-        d_max = compute_dmax(g, part)
-        geom = compute_geometry(profile, params, d_max, budget=pin)
-        layout = grid_layout(k)
-        dmat = delay_matrix(geom, params, layout)
-        bnd = bind_parts(part.traffic, dmat.d)
-        lev = quantize(g, dmat, cfg)
-        prepared[rep_id] = (g, part, bnd, lev, dmat)
+    prepared = {
+        rep_id: _prepare_kernel(rep_id, catalog.representatives[rep_id], profile, params, cfg,
+                                eps, seed, pin)
+        for rep_id in needed
+    }
 
     def program_latency(budget_per_core: int) -> float:
-        total = 0.0
-        for kid, rep, count in catalog.stage_instances:
-            g, part, bnd, lev, dmat = prepared[rep]
-            sched = list_schedule(g, part, bnd, budget_per_core, lev, dmat.grid)
-            if verify:
-                ok, violations = verify_schedule(sched, g, part, bnd, budget_per_core, lev)
-                if not ok:
-                    raise RuntimeError(f"infeasible schedule in sweep: {violations[:3]}")
-            total += count * sched.latency_us
-        return total
+        return _program_latency(
+            catalog, lambda rep: _schedule_kernel(prepared[rep], budget_per_core).latency_us
+        )
 
     points = []
     for a in feasible:
@@ -297,7 +298,7 @@ def sweep_budget(program: KernelProgram, profile: QecProfile, params: FabricPara
         lat = program_latency(a // k)
         points.append(SweepPoint(a, lat, (time.perf_counter() - t0) * 1e3))
 
-    unbounded = int(max(int(prepared[r][0].ancilla().sum()) for r in needed)) + 1
+    unbounded = int(max(int(km.qodg.ancilla().sum()) for km in prepared.values())) + 1
     sat_latency = program_latency(unbounded)
     sat_value = next((pt.axis_value for pt in points if pt.latency_us == sat_latency), None)
     return SweepResult("A", points, skipped, sat_value, sat_latency)
@@ -307,7 +308,9 @@ def sweep_cores(program: KernelProgram, profile: QecProfile, params: FabricParam
                 k_values, cfg: ScheduleConfig | None = None, eps: float = 0.1,
                 seed: int = 0) -> SweepResult:
     """Latency as a function of core count; k = 1 is always included as the
-    baseline. Infeasible core counts are skipped with a reason."""
+    baseline. Kernels with fewer operations than cores still map, leaving
+    some cores empty. A core count the budget cannot support (per-core
+    budget below the most expensive operation) is skipped with a reason."""
     cfg = cfg or ScheduleConfig()
     values = sorted(set(int(k) for k in k_values) | {1})
     points = []

@@ -50,9 +50,6 @@ class QecProfile:
     def max_ancilla(self) -> int:
         return max(r.ancilla for r in self.rows.values())
 
-    def supports(self, kind: str) -> bool:
-        return kind in self.rows or (kind == "Tdg" and "T" in self.rows)
-
     def lookup(self, kind: str) -> OpCost:
         # Tdg inherits T's row when absent: the costs of T and its adjoint
         # are identical under the codes modeled here.

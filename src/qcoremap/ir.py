@@ -14,8 +14,7 @@ pipeline only ever deals with kernels.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import NetlistError
@@ -60,22 +59,16 @@ def canonical_signature(body: tuple[QuantumOp, ...]) -> tuple:
     return tuple(sig)
 
 
-def structural_hash(body: tuple[QuantumOp, ...]) -> str:
-    digest = hashlib.sha256(repr(canonical_signature(body)).encode()).hexdigest()
-    return digest[:16]
-
-
 @dataclass(frozen=True)
 class Kernel:
     id: str
     body: tuple[QuantumOp, ...]
     touched_qubits: frozenset[int]
-    structural_hash: str
 
     @staticmethod
     def from_body(kernel_id: str, body: tuple[QuantumOp, ...]) -> "Kernel":
         touched = frozenset(q for op in body for q in op.operands)
-        return Kernel(kernel_id, body, touched, structural_hash(body))
+        return Kernel(kernel_id, body, touched)
 
 
 @dataclass(frozen=True)
@@ -90,13 +83,6 @@ class KernelProgram:
     qubits: tuple[LogicalQubit, ...]
     kernels: dict[str, Kernel]
     sequence: StageSequence
-    distinct_kernels: frozenset[str] = field(default_factory=frozenset)
-
-    def qubit_index(self, name: str) -> int:
-        for q in self.qubits:
-            if q.name == name:
-                return q.index
-        raise KeyError(name)
 
 
 @dataclass(frozen=True)
@@ -141,14 +127,7 @@ class _Parser:
             if kid not in self.kernels:
                 self.error(f"call of undefined kernel '{kid}'", lineno)
         sequence = StageSequence(tuple((kid, count) for kid, count, _ in self.stages))
-        program = KernelProgram(tuple(self.qubits), self.kernels, sequence)
-        catalog = identify_kernels(program)
-        return KernelProgram(
-            program.qubits,
-            program.kernels,
-            program.sequence,
-            frozenset(catalog.representatives),
-        )
+        return KernelProgram(tuple(self.qubits), self.kernels, sequence)
 
     def _statement(self, line, raw, lineno):
         head = line.split()[0]
@@ -271,15 +250,15 @@ def identify_kernels(program: KernelProgram) -> KernelCatalog:
     """Merge structurally identical kernels to one representative each.
 
     Kernels whose bodies are identical up to consistent qubit renaming (same
-    structural hash) share a representative: the first such kernel in
+    canonical signature) share a representative: the first such kernel in
     definition order. Every stage then references a representative, so each
     distinct kernel is mapped exactly once downstream.
     """
-    by_hash: dict[str, str] = {}
+    by_signature: dict[tuple, str] = {}
     representatives: dict[str, Kernel] = {}
     rep_of: dict[str, str] = {}
     for kid, kernel in program.kernels.items():
-        rep = by_hash.setdefault(kernel.structural_hash, kid)
+        rep = by_signature.setdefault(canonical_signature(kernel.body), kid)
         rep_of[kid] = rep
         if rep == kid:
             representatives[kid] = kernel

@@ -32,13 +32,6 @@ class WeightAnnotation:
     levels: tuple[int, ...]
     node_dim: np.ndarray
 
-    def vector(self, node: int) -> tuple[int, ...]:
-        v = [0] * self.n_con
-        d = int(self.node_dim[node])
-        if d >= 0:
-            v[d] = 1
-        return tuple(v)
-
 
 def assign_weight_vectors(g: Qodg, k: int) -> WeightAnnotation:
     """Give every level with at least k nodes its own one-hot dimension."""
@@ -56,7 +49,6 @@ def assign_weight_vectors(g: Qodg, k: int) -> WeightAnnotation:
 class Partition:
     assignment: np.ndarray
     k: int
-    cut_edges: tuple[int, ...]
     traffic: np.ndarray
 
     def parts(self) -> list[list[int]]:
@@ -115,7 +107,6 @@ class _Bisection:
                       if a in loc and b in loc]
         self.w_between = edge_w_between
         # relabel the dimensions present here to 0..D-1 for array indexing
-        kappa = k1 + k2
         dims_global = sorted({int(d) for d in global_dim if d >= 0})
         remap = {c: j for j, c in enumerate(dims_global)}
         self.dim = np.array([remap.get(int(d), -1) for d in global_dim], dtype=np.int64)
@@ -298,13 +289,12 @@ def kway_partition(g: Qodg, k: int, eps: float = 0.1,
     level dimension, minimizing the qubit weight of cut edges.
 
     Deterministic for fixed inputs and seed. The seed only varies one of the
-    refinement restarts; all tie-breaks favor the lowest node seq.
+    refinement restarts; all tie-breaks favor the lowest node seq. With
+    fewer operations than parts some parts stay empty.
     """
     n = len(g)
     if k < 1:
         raise ConfigError("part count must be >= 1")
-    if k > n:
-        raise ConfigError(f"cannot split {n} operations into {k} parts")
     if not 0 < eps < 1:
         raise ConfigError("balance tolerance must satisfy 0 < eps < 1")
     ann = weights if weights is not None else assign_weight_vectors(g, k)
@@ -354,9 +344,4 @@ def kway_partition(g: Qodg, k: int, eps: float = 0.1,
         bisect(nodes[~best_side], k2, offset + k1)
 
     bisect(np.arange(n, dtype=np.int64), k, 0)
-
-    cut = tuple(
-        i for i, e in enumerate(g.edges)
-        if assignment[e.src] != assignment[e.dst]
-    )
-    return Partition(assignment, k, cut, traffic_matrix(g, assignment, k))
+    return Partition(assignment, k, traffic_matrix(g, assignment, k))

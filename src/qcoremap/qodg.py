@@ -54,9 +54,6 @@ class Qodg:
     def leveled(self) -> bool:
         return all(n.level >= 0 for n in self.nodes) if self.nodes else True
 
-    def delays(self) -> np.ndarray:
-        return np.array([n.delay_us for n in self.nodes], dtype=np.float64)
-
     def ancilla(self) -> np.ndarray:
         return np.array([n.ancilla for n in self.nodes], dtype=np.int64)
 

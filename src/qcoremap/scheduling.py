@@ -1,11 +1,14 @@
 """Ancilla-budgeted list scheduling of a bound dependency graph.
 
-Durations and routing delays are quantized to integer scheduling levels
-(ceiling division by the cycle time). Operations are processed in
-critical-path priority order (longest path to any sink, ties by seq) and
-each takes the earliest start level at which its predecessors have finished,
-routing lags have elapsed, and its core's ancilla occupancy stays within the
-per-core budget for its whole duration window.
+Durations and routing delays are quantized to integer scheduling levels:
+the ceiling of delay / cycle time, computed exactly on the decimal values
+as written (so 2.1 us at a 0.3 us cycle is 7 levels, not the 8 that float
+division gives). Operations are processed in critical-path priority order
+(longest path to any sink, ties by seq) and each takes the earliest start
+level at which its predecessors have finished, routing lags have elapsed,
+and its core's ancilla occupancy stays within the per-core budget for its
+whole duration window. One plain Python loop over numpy arrays does this
+(`_schedule_impl`).
 
 Every same-core dependency pays the intra-core cache-load lag (the delay
 matrix diagonal); cross-core dependencies pay the mesh transfer delay and
@@ -16,10 +19,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from ._kernels import schedule_kernel
 from .errors import ConfigError
 from .fabric import DelayMatrix, xy_route
 from .partition import Partition
@@ -30,38 +33,38 @@ from .qodg import Qodg
 @dataclass(frozen=True)
 class ScheduleConfig:
     cycle_time: float = 1.0     # us per scheduling level
-    l_init: int | None = None   # level-count upper bound; None = serial bound
 
     def __post_init__(self):
         if self.cycle_time <= 0:
             raise ConfigError("cycle time must be positive")
-        if self.l_init is not None and self.l_init < 1:
-            raise ConfigError("l_init must be positive")
 
 
 @dataclass(frozen=True)
 class LevelizedDurations:
     dur_levels: np.ndarray      # per node, ceil(delay / cycle)
     route_levels: np.ndarray    # k x k, ceil(d / cycle)
-    l_init: int
+    l_init: int                 # serial bound: no schedule needs more levels
     cycle_time: float
+
+
+def _decimal(us: float) -> Fraction:
+    """The decimal a float prints as, exactly: 0.3 is 3/10, not the nearest
+    binary fraction (which is slightly below it)."""
+    return Fraction(repr(float(us)))
 
 
 def quantize(g: Qodg, dmat: DelayMatrix, cfg: ScheduleConfig) -> LevelizedDurations:
     """Convert microsecond delays to integer level counts."""
-    cyc = cfg.cycle_time
-    dur = np.array([math.ceil(nd.delay_us / cyc) for nd in g.nodes], dtype=np.int64)
-    k = dmat.d.shape[0]
-    route = np.empty((k, k), dtype=np.int64)
-    for a in range(k):
-        for b in range(k):
-            route[a, b] = math.ceil(dmat.d[a, b] / cyc)
-    if cfg.l_init is not None:
-        l_init = cfg.l_init
-    else:
-        max_r = int(route.max()) if k else 0
-        l_init = int(dur.sum()) + len(g) * max_r + 1
-    return LevelizedDurations(dur, route, l_init, cyc)
+    cyc = _decimal(cfg.cycle_time)
+    delays = [nd.delay_us for nd in g.nodes]
+    d = dmat.d.tolist()
+    levels = {v: math.ceil(_decimal(v) / cyc) for v in set(delays).union(*d)}
+    dur = np.array([levels[v] for v in delays], dtype=np.int64)
+    route = np.array([[levels[v] for v in row] for row in d], dtype=np.int64)
+    k = len(d)
+    max_r = int(route.max()) if k else 0
+    l_init = int(dur.sum()) + len(g) * max_r + 1
+    return LevelizedDurations(dur, route, l_init, cfg.cycle_time)
 
 
 @dataclass(frozen=True)
@@ -89,8 +92,46 @@ class MappedSchedule:
     occupancy: np.ndarray       # (k, makespan + 1); column 0 unused
     routes: tuple[QubitRoute, ...]
 
-    def starts(self) -> np.ndarray:
-        return np.array([o.start for o in self.ops], dtype=np.int64)
+
+def _schedule_impl(order, dur, anc, core, pred_ptr, pred_idx, pred_lag, n_cores, budget, l_init):
+    """Greedy earliest-feasible-start scheduling in a fixed priority order.
+
+    Levels are 1-based. occ[c, z] accumulates ancilla in use on core c at
+    level z. Returns (start, occ, status); status nonzero means the level
+    bound was exceeded (never happens when l_init is the serial bound).
+    """
+    n = order.shape[0]
+    start = np.zeros(n, dtype=np.int64)
+    occ = np.zeros((n_cores, l_init + 2), dtype=np.int64)
+    for k in range(n):
+        x = order[k]
+        ready = np.int64(1)
+        for e in range(pred_ptr[x], pred_ptr[x + 1]):
+            p = pred_idx[e]
+            cand = start[p] + dur[p] + pred_lag[e]
+            if cand > ready:
+                ready = cand
+        c = core[x]
+        a = anc[x]
+        t = dur[x]
+        s = ready
+        while True:
+            if s + t - 1 > l_init:
+                return start, occ, 1
+            ok = True
+            z = s
+            while z < s + t:
+                if occ[c, z] + a > budget:
+                    s = z + 1
+                    ok = False
+                    break
+                z += 1
+            if ok:
+                break
+        start[x] = s
+        for z in range(s, s + t):
+            occ[c, z] += a
+    return start, occ, 0
 
 
 def _priorities(g: Qodg, dur: np.ndarray) -> np.ndarray:
@@ -140,7 +181,9 @@ def list_schedule(g: Qodg, partition: Partition, binding: Binding,
     order = np.lexsort((seq, -prio)).astype(np.int64)
 
     n_cores = len(binding.part_to_core)
-    start, occ, status = schedule_kernel(
+    # numpy scalars throughout: the inner loop compares against budget and
+    # l_init, and numpy-to-Python-int comparisons cost about 1.6x more
+    start, occ, status = _schedule_impl(
         order, dur, anc, core, pred_ptr, pred_idx, pred_lag,
         np.int64(n_cores), np.int64(budget_per_core), np.int64(lev.l_init),
     )

@@ -28,7 +28,7 @@ def test_loose_gates_form_one_implicit_kernel():
 def test_kernel_block_and_call():
     p = parse_program("qubit q0\n.kernel K\nH q0\n.endkernel\n.call K x3\n")
     assert p.sequence.stages == (("K", 3),)
-    assert set(p.distinct_kernels) == {"K"}
+    assert set(identify_kernels(p).representatives) == {"K"}
 
 
 def test_call_default_count_is_one():
