@@ -7,8 +7,16 @@ division gives). Operations are processed in critical-path priority order
 (longest path to any sink, ties by seq) and each takes the earliest start
 level at which its predecessors have finished, routing lags have elapsed,
 and its core's ancilla occupancy stays within the per-core budget for its
-whole duration window. One plain Python loop over numpy arrays does this
-(`_schedule_impl`).
+whole duration window.
+
+Each core's ancilla pool is tracked as a timetable, the cumulative-resource
+profile of RCPSP scheduling: a sorted list of breakpoint levels and the
+ancilla in use from each breakpoint to the next (`_schedule_impl`). Placing
+an operation walks and splits only the segments its window touches, so the
+cost depends on the number of operations, not on how many levels a fine
+cycle time makes them span. `verify_schedule` re-checks the budget from the
+schedule's own operations, with a sorted sweep over their start and end
+events.
 
 Every same-core dependency pays the intra-core cache-load lag (the delay
 matrix diagonal); cross-core dependencies pay the mesh transfer delay and
@@ -18,6 +26,7 @@ get an xy route recorded for reporting.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,7 +52,6 @@ class ScheduleConfig:
 class LevelizedDurations:
     dur_levels: np.ndarray      # per node, ceil(delay / cycle)
     route_levels: np.ndarray    # k x k, ceil(d / cycle)
-    l_init: int                 # serial bound: no schedule needs more levels
     cycle_time: float
 
 
@@ -61,10 +69,7 @@ def quantize(g: Qodg, dmat: DelayMatrix, cfg: ScheduleConfig) -> LevelizedDurati
     levels = {v: math.ceil(_decimal(v) / cyc) for v in set(delays).union(*d)}
     dur = np.array([levels[v] for v in delays], dtype=np.int64)
     route = np.array([[levels[v] for v in row] for row in d], dtype=np.int64)
-    k = len(d)
-    max_r = int(route.max()) if k else 0
-    l_init = int(dur.sum()) + len(g) * max_r + 1
-    return LevelizedDurations(dur, route, l_init, cfg.cycle_time)
+    return LevelizedDurations(dur, route, cfg.cycle_time)
 
 
 @dataclass(frozen=True)
@@ -93,45 +98,58 @@ class MappedSchedule:
     routes: tuple[QubitRoute, ...]
 
 
-def _schedule_impl(order, dur, anc, core, pred_ptr, pred_idx, pred_lag, n_cores, budget, l_init):
+def _split(bp: list[int], use: list[int], z: int) -> int:
+    """Index of the timetable segment starting at level z, splitting the
+    segment that holds z if no breakpoint is there yet."""
+    i = bisect_left(bp, z)
+    if i == len(bp) or bp[i] != z:
+        bp.insert(i, z)
+        use.insert(i, use[i - 1])
+    return i
+
+
+def _schedule_impl(order, dur, anc, core, preds, route, n_cores, budget):
     """Greedy earliest-feasible-start scheduling in a fixed priority order.
 
-    Levels are 1-based. occ[c, z] accumulates ancilla in use on core c at
-    level z. Returns (start, occ, status); status nonzero means the level
-    bound was exceeded (never happens when l_init is the serial bound).
+    Levels are 1-based. Core c's timetable is bps[c], sorted breakpoint
+    levels starting at 1, and uses[c][i], the ancilla in use from level
+    bps[c][i] until the next breakpoint; the last segment runs on forever
+    and stays empty. An op starts no earlier than its inputs arrive; each
+    segment of its window that is too full for it moves the start to that
+    segment's end. That is the earliest feasible start, the same one a
+    level-by-level occupancy scan finds (`tests/oracles.py` keeps that scan
+    as the reference). A zero-level op starts when its inputs arrive and
+    holds no ancilla. Every argument is a Python int or nested lists or
+    tuples of them, not numpy. Returns the start levels, indexed by node.
     """
-    n = order.shape[0]
-    start = np.zeros(n, dtype=np.int64)
-    occ = np.zeros((n_cores, l_init + 2), dtype=np.int64)
-    for k in range(n):
-        x = order[k]
-        ready = np.int64(1)
-        for e in range(pred_ptr[x], pred_ptr[x + 1]):
-            p = pred_idx[e]
-            cand = start[p] + dur[p] + pred_lag[e]
+    start = [0] * len(order)
+    bps = [[1] for _ in range(n_cores)]
+    uses = [[0] for _ in range(n_cores)]
+    for x in order:
+        c = core[x]
+        ready = 1
+        for p in preds[x]:
+            cand = start[p] + dur[p] + route[core[p]][c]
             if cand > ready:
                 ready = cand
-        c = core[x]
-        a = anc[x]
         t = dur[x]
+        if t == 0:
+            start[x] = ready
+            continue
+        bp, use = bps[c], uses[c]
+        cap = budget - anc[x]
         s = ready
+        i = bisect_right(bp, s) - 1
         while True:
-            if s + t - 1 > l_init:
-                return start, occ, 1
-            ok = True
-            z = s
-            while z < s + t:
-                if occ[c, z] + a > budget:
-                    s = z + 1
-                    ok = False
-                    break
-                z += 1
-            if ok:
+            if use[i] > cap:
+                s = bp[i + 1]
+            elif i + 1 == len(bp) or bp[i + 1] >= s + t:
                 break
+            i += 1
         start[x] = s
-        for z in range(s, s + t):
-            occ[c, z] += a
-    return start, occ, 0
+        for j in range(_split(bp, use, s), _split(bp, use, s + t)):
+            use[j] += anc[x]
+    return start
 
 
 def _priorities(g: Qodg, dur: np.ndarray) -> np.ndarray:
@@ -164,31 +182,15 @@ def list_schedule(g: Qodg, partition: Partition, binding: Binding,
     if n == 0:
         return MappedSchedule((), 0, 0.0, np.zeros((len(binding.part_to_core), 1), dtype=np.int64), ())
 
-    pred_ptr = np.zeros(n + 1, dtype=np.int64)
-    for v in range(n):
-        pred_ptr[v + 1] = pred_ptr[v] + len(g.preds[v])
-    pred_idx = np.empty(pred_ptr[-1], dtype=np.int64)
-    pred_lag = np.empty(pred_ptr[-1], dtype=np.int64)
-    pos = 0
-    for v in range(n):
-        for u in g.preds[v]:
-            pred_idx[pos] = u
-            pred_lag[pos] = lev.route_levels[core[u], core[v]]
-            pos += 1
-
     prio = _priorities(g, dur)
     seq = np.arange(n, dtype=np.int64)
-    order = np.lexsort((seq, -prio)).astype(np.int64)
+    order = np.lexsort((seq, -prio))
 
     n_cores = len(binding.part_to_core)
-    # numpy scalars throughout: the inner loop compares against budget and
-    # l_init, and numpy-to-Python-int comparisons cost about 1.6x more
-    start, occ, status = _schedule_impl(
-        order, dur, anc, core, pred_ptr, pred_idx, pred_lag,
-        np.int64(n_cores), np.int64(budget_per_core), np.int64(lev.l_init),
-    )
-    if status != 0:
-        raise RuntimeError("level bound exceeded during scheduling (internal bug)")
+    start = np.array(_schedule_impl(
+        order.tolist(), dur.tolist(), anc.tolist(), core.tolist(), g.preds,
+        lev.route_levels.tolist(), n_cores, budget_per_core,
+    ), dtype=np.int64)
 
     makespan = int((start + dur - 1).max())
     ops = tuple(
@@ -205,8 +207,15 @@ def list_schedule(g: Qodg, partition: Partition, binding: Binding,
                 int(start[e.src] + dur[e.src]),
                 int(lev.route_levels[cu, cv]),
             ))
+    # ancilla in use per core and level, by a difference array: +anc at
+    # each op's start, -anc at its end (at most makespan + 1). The cumsum
+    # runs in place, so only one array of this size is ever touched.
+    occ = np.zeros((n_cores, makespan + 2), dtype=np.int64)
+    np.add.at(occ, (core, start), anc)
+    np.add.at(occ, (core, start + dur), -anc)
+    np.cumsum(occ, axis=1, out=occ)
     latency = makespan * lev.cycle_time
-    return MappedSchedule(ops, makespan, latency, occ[:, : makespan + 1].copy(), tuple(routes))
+    return MappedSchedule(ops, makespan, latency, occ[:, :-1], tuple(routes))
 
 
 def verify_schedule(sched: MappedSchedule, g: Qodg, partition: Partition,
@@ -246,19 +255,35 @@ def verify_schedule(sched: MappedSchedule, g: Qodg, partition: Partition,
                 f"{a.start}+{a.dur_levels}+{lag} > {b.start}"
             )
 
-    usage: dict[tuple[int, int], int] = {}
-    for op in by_node.values():
+    ops = list(by_node.values())
+    for op in ops:
         want_core = core_of(op.node)
         if op.core != want_core:
             violations.append(f"op {op.node} on core {op.core}, bound to {want_core}")
-        for z in range(op.start, op.start + op.dur_levels):
-            key = (op.core, z)
-            usage[key] = usage.get(key, 0) + g.nodes[op.node].ancilla
-    for (c, z), a in sorted(usage.items()):
-        if a > budget_per_core:
-            violations.append(f"core {c} level {z}: ancilla {a} > budget {budget_per_core}")
+    if ops:
+        # +ancilla at each op's start, -ancilla at its end, swept in (core,
+        # level) order; each core's events sum to zero, so one running sum
+        # serves all cores, read after the last event at each level
+        cores = np.array([op.core for op in ops], dtype=np.int64)
+        lo = np.array([op.start for op in ops], dtype=np.int64)
+        hi = lo + np.maximum([op.dur_levels for op in ops], 0)
+        anc = np.array([g.nodes[op.node].ancilla for op in ops], dtype=np.int64)
+        ev_core = np.concatenate([cores, cores])
+        ev_level = np.concatenate([lo, hi])
+        order = np.lexsort((ev_level, ev_core))
+        ev_core, ev_level = ev_core[order], ev_level[order]
+        in_use = np.cumsum(np.concatenate([anc, -anc])[order])
+        last = np.ones(len(order), dtype=bool)
+        last[:-1] = (ev_core[1:] != ev_core[:-1]) | (ev_level[1:] != ev_level[:-1])
+        seg_core, seg_start, seg_use = ev_core[last], ev_level[last], in_use[last]
+        # an over-budget segment is never its core's last, which holds 0
+        for j in np.flatnonzero(seg_use > budget_per_core):
+            for z in range(seg_start[j], seg_start[j + 1]):
+                violations.append(
+                    f"core {seg_core[j]} level {z}: ancilla {seg_use[j]} > budget {budget_per_core}"
+                )
 
-    finish = [op.start + op.dur_levels - 1 for op in by_node.values()]
+    finish = [op.start + op.dur_levels - 1 for op in ops]
     if finish and max(finish) != sched.makespan:
         violations.append(f"makespan {sched.makespan} != max finish {max(finish)}")
     return (not violations, violations)

@@ -11,6 +11,8 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
+
 
 # ----------------------------------------------------------------------
 # netlist interpretation (flat expansion, straight off the source text)
@@ -209,6 +211,78 @@ def optimal_makespan(n, preds, dur, anc, core, lag, n_cores, budget) -> int:
 
     rec()
     return best
+
+
+# ----------------------------------------------------------------------
+# list scheduling by a per-level occupancy scan
+
+def levelwise_schedule(order, dur, anc, core, pred_ptr, pred_idx, pred_lag, n_cores, budget, l_init):
+    """Greedy earliest-feasible-start scheduling in a fixed priority order.
+
+    Levels are 1-based. occ[c, z] accumulates ancilla in use on core c at
+    level z. Returns (start, occ, status); status nonzero means the level
+    bound was exceeded (never happens when l_init is the serial bound).
+    """
+    n = order.shape[0]
+    start = np.zeros(n, dtype=np.int64)
+    occ = np.zeros((n_cores, l_init + 2), dtype=np.int64)
+    for k in range(n):
+        x = order[k]
+        ready = np.int64(1)
+        for e in range(pred_ptr[x], pred_ptr[x + 1]):
+            p = pred_idx[e]
+            cand = start[p] + dur[p] + pred_lag[e]
+            if cand > ready:
+                ready = cand
+        c = core[x]
+        a = anc[x]
+        t = dur[x]
+        s = ready
+        while True:
+            if s + t - 1 > l_init:
+                return start, occ, 1
+            ok = True
+            z = s
+            while z < s + t:
+                if occ[c, z] + a > budget:
+                    s = z + 1
+                    ok = False
+                    break
+                z += 1
+            if ok:
+                break
+        start[x] = s
+        for z in range(s, s + t):
+            occ[c, z] += a
+    return start, occ, 0
+
+
+def levelwise_reference(preds, dur, anc, core, route, n_cores, budget):
+    """(start levels, occupancy) from `levelwise_schedule`, run in the list
+    scheduler's priority order (longest duration path to any sink, ties by
+    lower index) with the serial level bound."""
+    n = len(dur)
+    prio = list(dur)
+    for u in range(n - 1, -1, -1):
+        tails = [prio[v] for v in range(u + 1, n) if u in preds[v]]
+        prio[u] = dur[u] + max(tails, default=0)
+    order = sorted(range(n), key=lambda i: (-prio[i], i))
+    ptr = [0]
+    idx, lag = [], []
+    for v in range(n):
+        for u in preds[v]:
+            idx.append(u)
+            lag.append(route[core[u]][core[v]])
+        ptr.append(len(idx))
+    l_init = sum(dur) + n * max(max(row) for row in route) + 1
+    i64 = np.int64
+    start, occ, status = levelwise_schedule(
+        np.array(order, dtype=i64), np.array(dur, dtype=i64), np.array(anc, dtype=i64),
+        np.array(core, dtype=i64), np.array(ptr, dtype=i64), np.array(idx, dtype=i64),
+        np.array(lag, dtype=i64), i64(n_cores), i64(budget), i64(l_init),
+    )
+    assert status == 0, "level bound exceeded"
+    return [int(s) for s in start], occ
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ops_to_netlist, random_ops
-from oracles import optimal_makespan
+from oracles import levelwise_reference, optimal_makespan
 
 from qcoremap import (
     DelayMatrix,
@@ -10,12 +14,16 @@ from qcoremap import (
     ScheduleConfig,
     build_qodg,
     level_graph,
+    list_schedule,
     map_program,
     parse_program,
     quantize,
     verify_schedule,
 )
+from qcoremap.binding import Binding
 from qcoremap.fabric import OpCost, QecProfile
+from qcoremap.generators import walk_step_netlist
+from qcoremap.partition import Partition
 
 
 def _one_op_graph(delay_us):
@@ -59,3 +67,160 @@ def test_tiny_schedules_verify_and_respect_the_optimum(seed, steane):
     best = optimal_makespan(len(g), g.preds, [int(t) for t in lev.dur_levels],
                             [int(a) for a in g.ancilla()], core, lag, k, budget)
     assert sched.makespan >= best
+
+
+_KINDS = ("H", "S", "T", "Tdg", "X", "Y", "Z", "CNOT")
+_DELAYS_US = (0.1, 0.3, 0.5, 1.0, 2.1, 4.0, 7.5, 40.0)
+
+
+def _bound_schedule(seed, k, cycle, zero_delay_kind=None):
+    """A random graph on a random profile with mixed durations, bound to k
+    cores at random, scheduled with a per-core budget equal to its largest
+    op ancilla so that ops queue. Returns (g, core, lev, budget, schedule)."""
+    rng = np.random.default_rng(seed)
+    rows = {kind: OpCost(int(rng.integers(1, 60)), float(rng.choice(_DELAYS_US)), True)
+            for kind in _KINDS}
+    if zero_delay_kind is not None:
+        rows[zero_delay_kind] = OpCost(rows[zero_delay_kind].ancilla, 0.0, True)
+    profile = QecProfile("mixed", 7, rows)
+    n_qubits = int(rng.integers(2, 6))
+    text = ops_to_netlist(random_ops(rng, int(rng.integers(1, 30)), n_qubits), n_qubits)
+    g = level_graph(build_qodg(parse_program(text).kernels["_top0"], profile))
+    part = Partition(rng.integers(0, k, size=len(g)), k, np.zeros((k, k), dtype=np.int64))
+    binding = Binding(tuple(int(c) for c in rng.permutation(k)), 0.0, True)
+    dmat = DelayMatrix(rng.choice(_DELAYS_US, size=(k, k)), np.zeros((k, 2), dtype=np.int64))
+    lev = quantize(g, dmat, ScheduleConfig(cycle))
+    budget = int(g.ancilla().max())
+    core = [binding.part_to_core[int(p)] for p in part.assignment]
+    sched = list_schedule(g, part, binding, budget, lev)
+    ok, violations = verify_schedule(sched, g, part, binding, budget, lev)
+    assert ok, violations
+    return g, core, lev, budget, sched
+
+
+def _assert_matches_levelwise(g, core, lev, budget, sched, k):
+    start, occ = levelwise_reference(
+        g.preds, lev.dur_levels.tolist(), g.ancilla().tolist(), core,
+        lev.route_levels.tolist(), k, budget,
+    )
+    assert [op.start for op in sched.ops] == start
+    assert sched.occupancy.shape == (k, sched.makespan + 1)
+    assert np.array_equal(sched.occupancy, occ[:, : sched.makespan + 1])
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([1, 2, 4]),
+       cycle=st.sampled_from([0.1, 0.2, 0.3, 1.0, 10.0]))
+def test_timetable_starts_equal_the_levelwise_scan(seed, k, cycle):
+    g, core, lev, budget, sched = _bound_schedule(seed, k, cycle)
+    _assert_matches_levelwise(g, core, lev, budget, sched, k)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_zero_level_ops_start_when_ready_and_hold_no_ancilla(seed):
+    g, core, lev, budget, sched = _bound_schedule(seed, 2, 0.3, zero_delay_kind="H")
+    _assert_matches_levelwise(g, core, lev, budget, sched, 2)
+
+
+def test_zero_level_op_between_two_ops():
+    rows = {"H": OpCost(5, 0.0, True), "T": OpCost(9, 2.0, True)}
+    g = level_graph(build_qodg(parse_program("qubit a\nT a\nH a\nT a\n").kernels["_top0"],
+                               QecProfile("zero", 7, rows)))
+    part = Partition(np.zeros(3, dtype=np.int64), 1, np.zeros((1, 1), dtype=np.int64))
+    binding = Binding((0,), 0.0, True)
+    dmat = DelayMatrix(np.array([[1.0]]), np.zeros((1, 2), dtype=np.int64))
+    lev = quantize(g, dmat, ScheduleConfig(1.0))
+    sched = list_schedule(g, part, binding, 9, lev)
+    # T at 1-2, lag 1, H at 4 with no levels, lag 1, T at 5-6
+    assert [(op.start, op.dur_levels) for op in sched.ops] == [(1, 2), (4, 0), (5, 2)]
+    assert sched.makespan == 6
+    assert sched.occupancy.tolist() == [[0, 9, 9, 0, 0, 9, 9]]
+    assert verify_schedule(sched, g, part, binding, 9, lev) == (True, [])
+
+
+# ----------------------------------------------------------------------
+# the verifier must catch broken schedules, not only pass good ones
+
+@pytest.fixture(scope="module")
+def walk_map(steane):
+    report = map_program(parse_program(walk_step_netlist(8, 3, reps=1, seed=3)), steane,
+                         FabricParams(2, 400), ScheduleConfig(0.2))
+    km = report.kernel_maps["step"]
+    return km, report.params.budget_per_core
+
+
+def _verify(km, sched, budget):
+    return verify_schedule(sched, km.qodg, km.partition, km.binding, budget, km.lev)
+
+
+def test_verifier_passes_the_unchanged_schedule(walk_map):
+    km, budget = walk_map
+    assert _verify(km, km.schedule, budget) == (True, [])
+
+
+def test_verifier_flags_an_op_moved_before_a_tight_predecessor(walk_map):
+    km, budget = walk_map
+    ops, lev = km.schedule.ops, km.lev
+    tight = [
+        e for e in km.qodg.edges
+        if ops[e.src].start + ops[e.src].dur_levels
+        + int(lev.route_levels[ops[e.src].core, ops[e.dst].core]) == ops[e.dst].start
+    ]
+    assert tight
+    u, v = tight[0].src, tight[0].dst
+    moved = list(ops)
+    moved[v] = replace(ops[v], start=ops[v].start - 1)
+    ok, violations = _verify(km, replace(km.schedule, ops=tuple(moved)), budget)
+    assert not ok
+    assert any(msg.startswith(f"dependency {u}->{v} violated:") for msg in violations)
+
+
+def test_verifier_flags_every_level_over_a_budget_one_below_the_peak(walk_map):
+    km, budget = walk_map
+    usage = {}
+    for op in km.schedule.ops:
+        for z in range(op.start, op.start + op.dur_levels):
+            usage[op.core, z] = usage.get((op.core, z), 0) + km.qodg.nodes[op.node].ancilla
+    peak = max(usage.values())
+    want = [f"core {c} level {z}: ancilla {peak} > budget {peak - 1}"
+            for (c, z), a in sorted(usage.items()) if a == peak]
+    assert _verify(km, km.schedule, peak - 1) == (False, want)
+    # the schedule's own occupancy agrees with the per-level count
+    occ = np.zeros_like(km.schedule.occupancy)
+    for (c, z), a in usage.items():
+        occ[c, z] = a
+    assert np.array_equal(km.schedule.occupancy, occ)
+
+
+def test_verifier_flags_a_duplicated_op(walk_map):
+    km, budget = walk_map
+    ops = km.schedule.ops
+    ok, violations = _verify(km, replace(km.schedule, ops=ops + (ops[3],)), budget)
+    assert not ok
+    assert "op 3 scheduled more than once" in violations
+
+
+def test_verifier_flags_a_wrong_makespan(walk_map):
+    km, budget = walk_map
+    m = km.schedule.makespan
+    assert _verify(km, replace(km.schedule, makespan=m + 1), budget) == (
+        False, [f"makespan {m + 1} != max finish {m}"])
+
+
+# ----------------------------------------------------------------------
+# cycle-time invariance: whole-microsecond delays at a 100x finer cycle
+
+def test_a_hundred_times_finer_cycle_scales_every_level(steane):
+    program = parse_program(walk_step_netlist(16, 4, seed=1))
+    params = FabricParams(2, 400)
+    coarse = map_program(program, steane, params, ScheduleConfig(1.0))
+    fine = map_program(program, steane, params, ScheduleConfig(0.01))
+    assert coarse.kernel_maps.keys() == fine.kernel_maps.keys()
+    for rep, km in coarse.kernel_maps.items():
+        a, b = km.schedule, fine.kernel_maps[rep].schedule
+        assert b.makespan == a.makespan * 100
+        assert [op.start for op in b.ops] == [(op.start - 1) * 100 + 1 for op in a.ops]
+        ok, violations = verify_schedule(b, fine.kernel_maps[rep].qodg, km.partition,
+                                         km.binding, params.budget_per_core,
+                                         fine.kernel_maps[rep].lev)
+        assert ok, violations
