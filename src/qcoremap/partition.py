@@ -10,6 +10,13 @@ The partitioner is recursive bisection with Kernighan-Lin style refinement
 (single moves plus same-dimension swaps, with locking and rollback to the
 best prefix). Cut weight is the number of qubits crossing the cut, which is
 exactly the traffic the binder later pays for.
+
+Refinement keeps, per dimension pool and side, the best unlocked node by
+(gain, lowest index) across steps, in the spirit of Fiduccia-Mattheyses
+gain buckets, and re-derives only what a step changed. It makes exactly
+the move or swap that a full rescan of every node and pool would make, so
+partitions do not depend on this bookkeeping; `tests/oracles.py` keeps the
+full rescan as the reference.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 import numpy as np
 
@@ -101,48 +109,48 @@ class _Bisection:
         self.m = len(nodes)
         self.k1 = k1
         self.k2 = k2
-        loc = {int(u): i for i, u in enumerate(nodes)}
-        global_dim = np.array([node_dim[u] for u in nodes], dtype=np.int64)
+        loc = {u: i for i, u in enumerate(nodes.tolist())}
+        global_dim = node_dim[nodes].tolist()
         self.edges = [(loc[a], loc[b], w) for a, b, w in edge_list
                       if a in loc and b in loc]
         self.w_between = edge_w_between
-        # relabel the dimensions present here to 0..D-1 for array indexing
-        dims_global = sorted({int(d) for d in global_dim if d >= 0})
+        # relabel the dimensions present here to 0..D-1 for list indexing
+        dims_global = sorted({d for d in global_dim if d >= 0})
         remap = {c: j for j, c in enumerate(dims_global)}
-        self.dim = np.array([remap.get(int(d), -1) for d in global_dim], dtype=np.int64)
+        self.dim = [remap.get(d, -1) for d in global_dim]
         self.n_dims = len(dims_global)
+        self.members: list[list[int]] = [[] for _ in range(self.n_dims)]
+        self.unconstrained: list[int] = []
+        for i, c in enumerate(self.dim):
+            (self.members[c] if c >= 0 else self.unconstrained).append(i)
         # side-1 quota intervals per dimension present in this subset
-        self.q = np.array([int(np.sum(self.dim == j)) for j in range(self.n_dims)],
-                          dtype=np.int64)
-        self.d_lo = np.empty(self.n_dims, dtype=np.int64)
-        self.d_hi = np.empty(self.n_dims, dtype=np.int64)
-        for c, j in remap.items():
-            lo, hi = dim_lo[c], dim_hi[c]
-            self.d_lo[j] = max(k1 * lo, self.q[j] - k2 * hi)
-            self.d_hi[j] = min(k1 * hi, self.q[j] - k2 * lo)
+        self.q = [len(mem) for mem in self.members]
+        self.d_lo = [max(k1 * dim_lo[c], q - k2 * dim_hi[c]) for c, q in zip(dims_global, self.q)]
+        self.d_hi = [min(k1 * dim_hi[c], q - k2 * dim_lo[c]) for c, q in zip(dims_global, self.q)]
         self.n_lo = max(0, self.m - k2 * node_hi)
         self.n_hi = min(k1 * node_hi, self.m)
         self.adj: list[list[tuple[int, int]]] = [[] for _ in range(self.m)]
         for a, b, w in self.edges:
             self.adj[a].append((b, w))
             self.adj[b].append((a, w))
-        self.members = [[i for i in range(self.m) if self.dim[i] == j]
-                        for j in range(self.n_dims)]
-        self.unconstrained = [i for i in range(self.m) if self.dim[i] < 0]
 
     # ------------------------------------------------------------------
     def initial(self, order: np.ndarray) -> np.ndarray:
         """Quota-respecting initial side assignment along the given order."""
         kappa = self.k1 + self.k2
         side = np.zeros(self.m, dtype=bool)
+        # one bucket per dimension in order, the last (dim -1) unconstrained
+        buckets: list[list[int]] = [[] for _ in range(self.n_dims + 1)]
+        for i in order.tolist():
+            buckets[self.dim[i]].append(i)
         assigned1 = 0
         for c in range(self.n_dims):
-            members = np.array([i for i in order if self.dim[i] == c], dtype=np.int64)
-            t = (int(self.q[c]) * self.k1 + kappa // 2) // kappa
-            t = min(max(t, int(self.d_lo[c])), int(self.d_hi[c]))
+            members = np.array(buckets[c], dtype=np.int64)
+            t = (self.q[c] * self.k1 + kappa // 2) // kappa
+            t = min(max(t, self.d_lo[c]), self.d_hi[c])
             side[members[_stride_pick(len(members), t)]] = True
             assigned1 += t
-        unconstrained = np.array([i for i in order if self.dim[i] < 0], dtype=np.int64)
+        unconstrained = np.array(buckets[-1], dtype=np.int64)
         nu = len(unconstrained)
         goal = (self.m * self.k1 + kappa // 2) // kappa - assigned1
         lo = max(0, self.n_lo - assigned1)
@@ -159,35 +167,48 @@ class _Bisection:
     # ------------------------------------------------------------------
     def refine(self, side: np.ndarray, max_passes=8) -> np.ndarray:
         """Kernighan-Lin refinement: best feasible move or swap per step,
-        with locking, then rollback to the best prefix. Swap search prunes
-        pairs via the gain upper bound g(i) + g(j)."""
+        with locking, then rollback to the best prefix. Mutates and returns
+        `side`.
+
+        Pool p < n_dims holds dimension p's nodes, pool n_dims the
+        unconstrained ones. top[s][p] caches (gain, -index) of the best
+        unlocked node of pool p on side s. A step changes only the gains of
+        the nodes it flips and of their neighbours, so it rescans the
+        flipped nodes' pools and the pools whose top was a neighbour; any
+        other neighbour can only overtake its pool's top. A move's
+        feasibility depends only on its (side, pool) group, so the best
+        move is the best top among feasible groups. A swap stays within a
+        pool and keeps every balance; a pool is searched, by the sorted
+        scan pruned with the bound g(i) + g(j), only if its two tops can
+        beat the best so far. Each step is the one a full rescan would
+        pick: a move wins a tie with a swap, the lowest index wins among
+        moves, pools are searched in order, and a swap must be strictly
+        better to replace the best.
+        """
         m = self.m
         if m == 0:
             return side
         step_cap = m
         stall_cap = m if m <= 96 else max(48, m // 4)
-        unconstrained = self.unconstrained
-        small_uswaps = 0 < len(unconstrained) ** 2 <= 4096
-        ext = np.zeros(m, dtype=np.int64)
-        itn = np.zeros(m, dtype=np.int64)
+        n_dims, dim, adj, d_lo, d_hi = self.n_dims, self.dim, self.adj, self.d_lo, self.d_hi
+        pools = self.members + [self.unconstrained]
+        pool_of = [c if c >= 0 else n_dims for c in dim]
+        swap_pools = list(range(n_dims))
+        if 0 < len(self.unconstrained) ** 2 <= 4096:
+            swap_pools.append(n_dims)
+        empty = (-math.inf, 1)  # below, and unequal to, every (gain, -index)
+        s = side.tolist()
+        gain = [0] * m          # external minus internal edge weight
         for a, b, w in self.edges:
-            if side[a] != side[b]:
-                ext[a] += w
-                ext[b] += w
-            else:
-                itn[a] += w
-                itn[b] += w
+            w = w if s[a] != s[b] else -w
+            gain[a] += w
+            gain[b] += w
 
         def flip(i):
-            side[i] = not side[i]
-            ext[i], itn[i] = itn[i], ext[i]
-            for j, w in self.adj[i]:
-                if side[j] == side[i]:
-                    itn[j] += w
-                    ext[j] -= w
-                else:
-                    ext[j] += w
-                    itn[j] -= w
+            si = s[i] = not s[i]
+            gain[i] = -gain[i]
+            for j, w in adj[i]:
+                gain[j] += -2 * w if s[j] == si else 2 * w
 
         def w_direct(i, j):
             a, b = self.nodes[i], self.nodes[j]
@@ -195,50 +216,45 @@ class _Bisection:
                 a, b = b, a
             return self.w_between.get((int(a), int(b)), 0)
 
-        dim = self.dim
-        has_dim = dim >= 0
-        dim_safe = np.where(has_dim, dim, 0)
+        def rescan(p):
+            for sd in (0, 1):
+                top[sd][p] = max(((gain[i], -i) for i in pools[p] if s[i] == sd and not locked[i]),
+                                 default=empty)
+
         for _ in range(max_passes):
-            n1 = int(side.sum())
-            cnt1 = np.zeros(max(self.n_dims, 1), dtype=np.int64)
-            for j in range(self.n_dims):
-                cnt1[j] = sum(1 for i in self.members[j] if side[i])
-            locked = np.zeros(m, dtype=bool)
+            n1 = sum(s)
+            cnt1 = [sum(1 for i in mem if s[i]) for mem in self.members]
+            # per group: may a side-1 node leave, a side-0 node enter?
+            can1 = [cnt1[c] - 1 >= d_lo[c] for c in range(n_dims)] + [True]
+            can0 = [cnt1[c] + 1 <= d_hi[c] for c in range(n_dims)] + [True]
+            locked = [False] * m
+            top = [[empty] * (n_dims + 1), [empty] * (n_dims + 1)]
+            for p in range(n_dims + 1):
+                rescan(p)
             trail: list[tuple[int, int]] = []
             cum = best_cum = 0
             best_len = 0
             stall = 0
             for _step in range(step_cap):
-                gain = ext - itn
-                # vectorized move feasibility against the side-1 quotas
-                if self.n_dims:
-                    can_leave = np.where(has_dim, cnt1[dim_safe] - 1 >= self.d_lo[dim_safe], True)
-                    can_enter = np.where(has_dim, cnt1[dim_safe] + 1 <= self.d_hi[dim_safe], True)
-                else:
-                    can_leave = can_enter = np.ones(m, dtype=bool)
-                feas = np.where(side, (n1 - 1 >= self.n_lo) & can_leave,
-                                (n1 + 1 <= self.n_hi) & can_enter)
-                elig = feas & ~locked
-                best = None  # (gain, kind, i, j); moves beat swaps on ties
-                if elig.any():
-                    masked = np.where(elig, gain, np.iinfo(np.int64).min)
-                    i = int(masked.argmax())
-                    best = (int(masked[i]), 0, i, -1)
-                pools = list(range(self.n_dims)) + ([-1] if small_uswaps else [])
-                for pool_id in pools:
-                    src = self.members[pool_id] if pool_id >= 0 else unconstrained
-                    ones = [i for i in src if side[i] and not locked[i]]
-                    twos = [i for i in src if not side[i] and not locked[i]]
-                    if not ones or not twos:
-                        continue
-                    ones.sort(key=lambda i: (-gain[i], i))
-                    twos.sort(key=lambda i: (-gain[i], i))
-                    top2 = int(gain[twos[0]])
+                key = empty
+                if n1 - 1 >= self.n_lo:
+                    key = max(compress(top[1], can1), default=empty)
+                if n1 + 1 <= self.n_hi:
+                    key = max(key, max(compress(top[0], can0), default=empty))
+                best = (key[0], 0, -key[1], -1) if key > empty else None
+                bound = best[0] if best else -math.inf
+                # a pool whose tops fail the bound breaks out at its first pair
+                for p in [p for p, t0, t1 in zip(swap_pools, *top) if t0[0] + t1[0] > bound]:
+                    ones = sorted((i for i in pools[p] if s[i] and not locked[i]),
+                                  key=lambda i: (-gain[i], i))
+                    twos = sorted((i for i in pools[p] if not s[i] and not locked[i]),
+                                  key=lambda i: (-gain[i], i))
+                    top2 = gain[twos[0]]
                     for i in ones:
-                        if best is not None and int(gain[i]) + top2 <= best[0]:
+                        if best is not None and gain[i] + top2 <= best[0]:
                             break
                         for j in twos:
-                            ub = int(gain[i]) + int(gain[j])
+                            ub = gain[i] + gain[j]
                             if best is not None and ub <= best[0]:
                                 break
                             g = ub - 2 * w_direct(i, j)
@@ -247,24 +263,30 @@ class _Bisection:
                 if best is None:
                     break
                 g, kind, i, j = best
+                moved = (i,) if kind == 0 else (i, j)
                 if kind == 0:
-                    c = int(dim[i])
-                    if side[i]:
-                        n1 -= 1
-                        if c >= 0:
-                            cnt1[c] -= 1
-                    else:
-                        n1 += 1
-                        if c >= 0:
-                            cnt1[c] += 1
-                    flip(i)
-                    locked[i] = True
-                    trail.append((i, -1))
-                else:
-                    flip(i)
-                    flip(j)
-                    locked[i] = locked[j] = True
-                    trail.append((i, j))
+                    delta = -1 if s[i] else 1
+                    n1 += delta
+                    c = dim[i]
+                    if c >= 0:
+                        cnt1[c] += delta
+                        can1[c] = cnt1[c] - 1 >= d_lo[c]
+                        can0[c] = cnt1[c] + 1 <= d_hi[c]
+                for u in moved:
+                    flip(u)
+                    locked[u] = True
+                trail.append((i, j))
+                # rescan the moved nodes' pools and pools whose top changed
+                # gain; elsewhere only a touched node can overtake the top
+                touched = {v for u in moved for v, _ in adj[u]} - set(moved)
+                dirty = {pool_of[u] for u in moved}
+                dirty.update(pool_of[u] for u in touched if top[s[u]][pool_of[u]][1] == -u)
+                for u in touched:
+                    p = pool_of[u]
+                    if p not in dirty and not locked[u] and (gain[u], -u) > top[s[u]][p]:
+                        top[s[u]][p] = (gain[u], -u)
+                for p in dirty:
+                    rescan(p)
                 cum += g
                 if cum > best_cum:
                     best_cum = cum
@@ -280,6 +302,7 @@ class _Bisection:
                     flip(j)
             if best_cum <= 0:
                 break
+        side[:] = s
         return side
 
 

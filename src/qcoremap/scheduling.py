@@ -225,13 +225,17 @@ def verify_schedule(sched: MappedSchedule, g: Qodg, partition: Partition,
 
     Verifies: each op scheduled exactly once at level >= 1; precedence with
     routing lags; per-core per-level ancilla occupancy within budget; and
-    the makespan covering every op's finish. Violations are returned as
-    human-readable strings; empty list means pass.
+    the makespan covering every op's finish. An op whose node is not in the
+    graph is reported and left out of the other checks. Violations are
+    returned as human-readable strings; empty list means pass.
     """
     violations: list[str] = []
     n = len(g)
     by_node: dict[int, ScheduledOp] = {}
     for op in sched.ops:
+        if not 0 <= op.node < n:
+            violations.append(f"op {op.node} not in graph")
+            continue
         if op.node in by_node:
             violations.append(f"op {op.node} scheduled more than once")
         by_node[op.node] = op

@@ -128,6 +128,141 @@ def best_two_way_cut(n, edge_list, node_dim, n_dims, eps):
 
 
 # ----------------------------------------------------------------------
+# Kernighan-Lin refinement by a full rescan per step
+
+def reference_refine(bis, side: np.ndarray, max_passes=8) -> np.ndarray:
+    """Kernighan-Lin refinement of a `_Bisection`, rescanning everything on
+    every step: the best feasible move (vectorized over all nodes) or
+    same-pool swap (each pool's unlocked sides rebuilt and sorted), with
+    locking, then rollback to the best prefix. Swap search prunes pairs via
+    the gain upper bound g(i) + g(j). Mutates and returns `side`."""
+    m = bis.m
+    if m == 0:
+        return side
+    step_cap = m
+    stall_cap = m if m <= 96 else max(48, m // 4)
+    unconstrained = bis.unconstrained
+    small_uswaps = 0 < len(unconstrained) ** 2 <= 4096
+    ext = np.zeros(m, dtype=np.int64)
+    itn = np.zeros(m, dtype=np.int64)
+    for a, b, w in bis.edges:
+        if side[a] != side[b]:
+            ext[a] += w
+            ext[b] += w
+        else:
+            itn[a] += w
+            itn[b] += w
+
+    def flip(i):
+        side[i] = not side[i]
+        ext[i], itn[i] = itn[i], ext[i]
+        for j, w in bis.adj[i]:
+            if side[j] == side[i]:
+                itn[j] += w
+                ext[j] -= w
+            else:
+                ext[j] += w
+                itn[j] -= w
+
+    def w_direct(i, j):
+        a, b = bis.nodes[i], bis.nodes[j]
+        if a > b:
+            a, b = b, a
+        return bis.w_between.get((int(a), int(b)), 0)
+
+    # _Bisection keeps dim and the quotas as lists
+    dim = np.asarray(bis.dim, dtype=np.int64)
+    d_lo = np.asarray(bis.d_lo, dtype=np.int64)
+    d_hi = np.asarray(bis.d_hi, dtype=np.int64)
+    has_dim = dim >= 0
+    dim_safe = np.where(has_dim, dim, 0)
+    for _ in range(max_passes):
+        n1 = int(side.sum())
+        cnt1 = np.zeros(max(bis.n_dims, 1), dtype=np.int64)
+        for j in range(bis.n_dims):
+            cnt1[j] = sum(1 for i in bis.members[j] if side[i])
+        locked = np.zeros(m, dtype=bool)
+        trail: list[tuple[int, int]] = []
+        cum = best_cum = 0
+        best_len = 0
+        stall = 0
+        for _step in range(step_cap):
+            gain = ext - itn
+            # vectorized move feasibility against the side-1 quotas
+            if bis.n_dims:
+                can_leave = np.where(has_dim, cnt1[dim_safe] - 1 >= d_lo[dim_safe], True)
+                can_enter = np.where(has_dim, cnt1[dim_safe] + 1 <= d_hi[dim_safe], True)
+            else:
+                can_leave = can_enter = np.ones(m, dtype=bool)
+            feas = np.where(side, (n1 - 1 >= bis.n_lo) & can_leave,
+                            (n1 + 1 <= bis.n_hi) & can_enter)
+            elig = feas & ~locked
+            best = None  # (gain, kind, i, j); moves beat swaps on ties
+            if elig.any():
+                masked = np.where(elig, gain, np.iinfo(np.int64).min)
+                i = int(masked.argmax())
+                best = (int(masked[i]), 0, i, -1)
+            pools = list(range(bis.n_dims)) + ([-1] if small_uswaps else [])
+            for pool_id in pools:
+                src = bis.members[pool_id] if pool_id >= 0 else unconstrained
+                ones = [i for i in src if side[i] and not locked[i]]
+                twos = [i for i in src if not side[i] and not locked[i]]
+                if not ones or not twos:
+                    continue
+                ones.sort(key=lambda i: (-gain[i], i))
+                twos.sort(key=lambda i: (-gain[i], i))
+                top2 = int(gain[twos[0]])
+                for i in ones:
+                    if best is not None and int(gain[i]) + top2 <= best[0]:
+                        break
+                    for j in twos:
+                        ub = int(gain[i]) + int(gain[j])
+                        if best is not None and ub <= best[0]:
+                            break
+                        g = ub - 2 * w_direct(i, j)
+                        if best is None or g > best[0]:
+                            best = (g, 1, i, j)
+            if best is None:
+                break
+            g, kind, i, j = best
+            if kind == 0:
+                c = int(dim[i])
+                if side[i]:
+                    n1 -= 1
+                    if c >= 0:
+                        cnt1[c] -= 1
+                else:
+                    n1 += 1
+                    if c >= 0:
+                        cnt1[c] += 1
+                flip(i)
+                locked[i] = True
+                trail.append((i, -1))
+            else:
+                flip(i)
+                flip(j)
+                locked[i] = locked[j] = True
+                trail.append((i, j))
+            cum += g
+            if cum > best_cum:
+                best_cum = cum
+                best_len = len(trail)
+                stall = 0
+            else:
+                stall += 1
+                if stall > stall_cap:
+                    break
+        for i, j in reversed(trail[best_len:]):
+            flip(i)
+            if j >= 0:
+                flip(j)
+        if best_cum <= 0:
+            break
+    return side
+
+
+
+# ----------------------------------------------------------------------
 # assignment (binding) optimum by permutation enumeration
 
 def best_binding(w, d) -> tuple[tuple[int, ...], float]:

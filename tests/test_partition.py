@@ -1,0 +1,175 @@
+"""Partitioner tests: the incremental Kernighan-Lin refinement replays the
+full-rescan reference step for step, kway_partition keeps its snapshot
+assignments, and results respect the documented balance bounds and the
+exhaustive two-way optimum."""
+
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import ops_to_netlist, random_ops
+from oracles import best_two_way_cut, reference_refine
+
+from qcoremap import (
+    assign_weight_vectors,
+    build_qodg,
+    bundled_profile,
+    kway_partition,
+    level_graph,
+    parse_program,
+)
+from qcoremap.generators import random_netlist, walk_step_netlist
+from qcoremap.partition import _Bisection, _bound_pair
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _random_bisection(seed, m, n_dims, p_free, max_w, k1, k2, eps=0.1):
+    """A _Bisection over m of N >= m nodes. Nodes outside the subset always
+    carry one of n_dims dimensions, so p_free=1 gives a subset with none.
+    Edges have weights 1..max_w, and some pairs get parallel edges."""
+    rng = np.random.default_rng(seed)
+    n = m + int(rng.integers(0, 12))
+    nodes = np.sort(rng.choice(n, size=m, replace=False)).astype(np.int64)
+    inside = np.zeros(n, dtype=bool)
+    inside[nodes] = True
+    node_dim = rng.integers(0, max(n_dims, 1), size=n) if n_dims else np.full(n, -1)
+    node_dim[inside & (rng.random(n) < p_free)] = -1
+    node_dim = node_dim.astype(np.int64)
+    edge_list = []
+    if n >= 2:
+        for _ in range(int(rng.integers(0, 2 * n + 1))):
+            a, b = sorted(int(x) for x in rng.choice(n, size=2, replace=False))
+            edge_list.append((a, b, int(rng.integers(1, max_w + 1))))
+        if edge_list:
+            picks = rng.integers(0, len(edge_list), size=len(edge_list) // 4)
+            edge_list += [edge_list[int(i)] for i in picks]
+    w_between = {}
+    for a, b, w in edge_list:
+        w_between[(a, b)] = w_between.get((a, b), 0) + w
+    k = k1 + k2 + int(rng.integers(0, 3))
+    dim_lo, dim_hi = {}, {}
+    for c in range(n_dims):
+        dim_lo[c], dim_hi[c] = _bound_pair(int(np.sum(node_dim == c)), k, Fraction(eps))
+    _, node_hi = _bound_pair(n, k, Fraction(eps))
+    bis = _Bisection(nodes, node_dim, edge_list, w_between, k1, k2, dim_lo, dim_hi, node_hi)
+    return bis, rng
+
+
+def _assert_replays(bis, rng):
+    starts = [rng.random(bis.m) < 0.5, bis.initial(np.arange(bis.m)), bis.initial(rng.permutation(bis.m))]
+    for side in starts:
+        want = reference_refine(bis, side.copy())
+        got = side.copy()
+        assert bis.refine(got) is got
+        assert got.tolist() == want.tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(0, 90), n_dims=st.integers(0, 8),
+       p_free=st.sampled_from([0.0, 0.3, 1.0]), max_w=st.sampled_from([1, 3]),
+       k1=st.integers(1, 3), k2=st.integers(1, 3))
+def test_refine_equals_full_rescan(seed, m, n_dims, p_free, max_w, k1, k2):
+    _assert_replays(*_random_bisection(seed, m, n_dims, p_free, max_w, k1, k2))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("m, p_free, swaps_searched", [(60, 1.0, True), (90, 1.0, False), (80, 0.5, True)])
+def test_refine_equals_full_rescan_on_unconstrained_pools(seed, m, p_free, swaps_searched):
+    # unit weights and parallel edges: many equal gains; 64 free nodes is
+    # the largest pool whose swaps are searched
+    bis, rng = _random_bisection(seed, m, 4, p_free, 1, 1, 1)
+    assert (0 < len(bis.unconstrained) <= 64) == swaps_searched
+    assert bis.n_dims == 0 or p_free < 1
+    _assert_replays(bis, rng)
+
+
+def _partition_corpus():
+    """(name, leveled graph) for every kernel of a few fixed netlists."""
+    profile = bundled_profile("steane")
+    texts = {
+        "random120": random_netlist(120, 8, seed=0),
+        "random250": random_netlist(250, 16, seed=1),
+        "random400": random_netlist(400, 32, seed=2),
+        "walk": walk_step_netlist(8, 3, reps=2),
+    }
+    for name, text in texts.items():
+        program = parse_program(text)
+        for kname in sorted(program.kernels):
+            yield f"{name}/{kname}", level_graph(build_qodg(program.kernels[kname], profile))
+
+
+def _partition_lines():
+    return "".join(
+        f"{name} k={k} {''.join(str(p) for p in kway_partition(g, k).assignment.tolist())}\n"
+        for name, g in _partition_corpus() for k in (1, 2, 3, 4, 8, 9)
+    )
+
+
+def test_kway_assignments_match_snapshot():
+    assert _partition_lines() == (GOLDEN / "partitions.txt").read_text(encoding="utf-8")
+
+
+def _graph(seed, max_ops, max_qubits):
+    rng = np.random.default_rng(seed)
+    n_qubits = int(rng.integers(2, max_qubits + 1))
+    text = ops_to_netlist(random_ops(rng, int(rng.integers(1, max_ops + 1)), n_qubits), n_qubits)
+    return level_graph(build_qodg(parse_program(text).kernels["_top0"], bundled_profile("steane")))
+
+
+def _partition_recording_conflicts(mp, g, k, eps):
+    """kway_partition plus whether any bisection's initial split had to
+    break node-count balance because the dimension quotas won."""
+    conflicts = []
+    real_initial = _Bisection.initial
+
+    def initial(bis, order):
+        side = real_initial(bis, order)
+        conflicts.append(not bis.n_lo <= int(side.sum()) <= bis.n_hi)
+        return side
+
+    mp.setattr(_Bisection, "initial", initial)
+    part = kway_partition(g, k, eps)
+    return part, any(conflicts)
+
+
+def _assert_within_bounds(g, part, k, eps, check_nodes):
+    ann = assign_weight_vectors(g, k)
+    counts = np.bincount(part.assignment, minlength=k)
+    if check_nodes:
+        assert counts.max() <= _bound_pair(len(g), k, Fraction(eps))[1]
+    for c in range(ann.n_con):
+        in_c = ann.node_dim == c
+        lo, hi = _bound_pair(int(in_c.sum()), k, Fraction(eps))
+        per_part = np.bincount(part.assignment[in_c], minlength=k)
+        assert lo <= per_part.min() and per_part.max() <= hi
+    cut = sum(e.weight for e in g.edges if part.assignment[e.src] != part.assignment[e.dst])
+    assert int(part.traffic.sum()) == cut
+    return cut
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), eps=st.sampled_from([0.1, 0.3, 0.5]))
+def test_two_way_split_is_feasible_and_no_better_than_exhaustive(seed, eps):
+    g = _graph(seed, 12, 5)
+    with pytest.MonkeyPatch.context() as mp:
+        part, conflict = _partition_recording_conflicts(mp, g, 2, eps)
+    cut = _assert_within_bounds(g, part, 2, eps, check_nodes=not conflict)
+    ann = assign_weight_vectors(g, 2)
+    best = best_two_way_cut(len(g), [(e.src, e.dst, e.weight) for e in g.edges],
+                            ann.node_dim.tolist(), ann.n_con, eps)
+    if not conflict:
+        assert best is not None and cut >= best
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([3, 4, 8, 9]))
+def test_kway_parts_respect_the_bounds(seed, k):
+    g = _graph(seed, 60, 12)
+    with pytest.MonkeyPatch.context() as mp:
+        part, conflict = _partition_recording_conflicts(mp, g, k, 0.1)
+    _assert_within_bounds(g, part, k, 0.1, check_nodes=not conflict)

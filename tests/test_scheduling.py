@@ -24,6 +24,7 @@ from qcoremap.binding import Binding
 from qcoremap.fabric import OpCost, QecProfile
 from qcoremap.generators import walk_step_netlist
 from qcoremap.partition import Partition
+from qcoremap.scheduling import ScheduledOp
 
 
 def _one_op_graph(delay_us):
@@ -198,6 +199,20 @@ def test_verifier_flags_a_duplicated_op(walk_map):
     ok, violations = _verify(km, replace(km.schedule, ops=ops + (ops[3],)), budget)
     assert not ok
     assert "op 3 scheduled more than once" in violations
+
+
+def test_verifier_reports_an_op_not_in_the_graph(uniform_profile):
+    g = level_graph(build_qodg(parse_program("qubit a\nH a\nT a\n").kernels["_top0"],
+                               uniform_profile))
+    part = Partition(np.zeros(2, dtype=np.int64), 1, np.zeros((1, 1), dtype=np.int64))
+    binding = Binding((0,), 0.0, True)
+    lev = quantize(g, DelayMatrix(np.array([[1.0]]), np.zeros((1, 2), dtype=np.int64)),
+                   ScheduleConfig(1.0))
+    sched = list_schedule(g, part, binding, 10, lev)
+    assert len(sched.ops) == 2
+    for node in (5, -1):
+        extra = replace(sched, ops=sched.ops + (ScheduledOp(node, "H", 0, 1, 1),))
+        assert verify_schedule(extra, g, part, binding, 10, lev) == (False, [f"op {node} not in graph"])
 
 
 def test_verifier_flags_a_wrong_makespan(walk_map):
