@@ -1,8 +1,9 @@
-"""Byte snapshots of reports and sweep CSVs on small fixed inputs.
+"""Byte snapshots of reports, dependency graphs and sweep CSVs on small
+fixed inputs.
 
-The expected texts in tests/golden/ pin the mapper's answers: partition,
-binding permutation and cost, every start level and every latency. A
-refactor that changes any of them fails here. The sweep CSVs are compared
+The expected texts in tests/golden/ pin the mapper's answers: dependency
+edges and levels, partition, binding permutation and cost, every start
+level and every latency. A refactor that changes any of them fails here. The sweep CSVs are compared
 without their runtime_ms column, the one field that is not an answer.
 """
 
@@ -15,6 +16,7 @@ from qcoremap import (
     FabricParams,
     ScheduleConfig,
     bundled_profile,
+    dump_dot,
     map_program,
     parse_program,
     render_report,
@@ -27,10 +29,21 @@ from qcoremap.generators import phase_estimation_netlist, random_netlist, walk_s
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def _report(text, code, k, budget, cycle=1.0):
-    report = map_program(parse_program(text), bundled_profile(code), FabricParams(k, budget),
-                         ScheduleConfig(cycle))
-    return render_report(report)
+def _map(text, code, k, budget, cycle=1.0):
+    return map_program(parse_program(text), bundled_profile(code), FabricParams(k, budget),
+                       ScheduleConfig(cycle))
+
+
+def _report(*args):
+    return render_report(_map(*args))
+
+
+def _dot(*args):
+    """dump_dot of every mapped kernel's graph, in kernel id order."""
+    buf = io.StringIO()
+    for _, km in sorted(_map(*args).kernel_maps.items()):
+        dump_dot(km.qodg, buf)
+    return buf.getvalue()
 
 
 def _csv(result):
@@ -55,6 +68,7 @@ def _cores_sweep():
 
 CASES = {
     "walk_k2.txt": lambda: _report(walk_step_netlist(8, 3, reps=2), "steane", 2, 400),
+    "walk_k2.dot": lambda: _dot(walk_step_netlist(8, 3, reps=2), "steane", 2, 400),
     "random_k4.txt": lambda: _report(random_netlist(60, 8, seed=3), "steane", 4, 800),
     "phase_estimation_k1.txt": lambda: _report(phase_estimation_netlist(3), "steane", 1, 200),
     "bacon_shor_k8.txt": lambda: _report(walk_step_netlist(8, 2, reps=1), "bacon_shor", 8, 2600),

@@ -141,3 +141,10 @@ def test_dot_dump(uniform_profile):
     assert "digraph" in text
     assert 'n0 -> n1 [qubits="1"];' in text
     assert "level=1" in text
+
+
+def test_dot_dump_of_unleveled_graph(uniform_profile):
+    _, k = single_kernel("qubit a\nqubit b\nCNOT a,b\nH a\n")
+    buf = io.StringIO()
+    dump_dot(build_qodg(k, uniform_profile), buf)
+    assert buf.getvalue().count("level=-1") == 2
