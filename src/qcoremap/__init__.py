@@ -17,7 +17,7 @@ from .ir import (
     parse_program,
     serialize_program,
 )
-from .qodg import Qodg, QodgEdge, QodgNode, build_qodg, critical_path, dump_dot, level_graph
+from .qodg import Qodg, QodgEdge, build_qodg, critical_path, dump_dot, level_graph
 from .partition import (
     Partition,
     WeightAnnotation,
@@ -37,7 +37,6 @@ from .fabric import (
     delay_matrix,
     grid_layout,
     load_qec_profile,
-    xy_route,
 )
 from .binding import Binding, bind_parts, binding_cost
 from .scheduling import (

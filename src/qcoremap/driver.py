@@ -39,7 +39,7 @@ from .scheduling import (
 
 ASSUMPTIONS = (
     "inter-stage qubit handoff latency is not modeled; stage latencies sum serially",
-    "interconnect bandwidth is not contended; routes are recorded for reporting only",
+    "interconnect bandwidth is not contended",
     "each distinct kernel is mapped once and replayed for every repetition",
 )
 
@@ -109,7 +109,7 @@ def _prepare_kernel(rep_id, kernel, profile, params, cfg, eps, seed,
 def _schedule_kernel(km: KernelMapping, budget_per_core: int) -> MappedSchedule:
     """List-schedule a prepared kernel under one per-core budget and check
     the result with the independent verifier."""
-    sched = list_schedule(km.qodg, km.partition, km.binding, budget_per_core, km.lev, km.dmat.grid)
+    sched = list_schedule(km.qodg, km.partition, km.binding, budget_per_core, km.lev)
     ok, violations = verify_schedule(sched, km.qodg, km.partition, km.binding,
                                      budget_per_core, km.lev)
     if not ok:
@@ -298,7 +298,7 @@ def sweep_budget(program: KernelProgram, profile: QecProfile, params: FabricPara
         lat = program_latency(a // k)
         points.append(SweepPoint(a, lat, (time.perf_counter() - t0) * 1e3))
 
-    unbounded = int(max(int(km.qodg.ancilla().sum()) for km in prepared.values())) + 1
+    unbounded = int(max(int(km.qodg.ancilla.sum()) for km in prepared.values())) + 1
     sat_latency = program_latency(unbounded)
     sat_value = next((pt.axis_value for pt in points if pt.latency_us == sat_latency), None)
     return SweepResult("A", points, skipped, sat_value, sat_latency)

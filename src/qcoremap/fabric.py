@@ -177,8 +177,8 @@ def _ceil_sqrt(value: Fraction) -> int:
 def compute_dmax(g: "Qodg", partition: "Partition") -> int:
     """Largest count of distinct logical qubits touched by any one part."""
     touched: list[set[int]] = [set() for _ in range(partition.k)]
-    for i, nd in enumerate(g.nodes):
-        touched[int(partition.assignment[i])].update(nd.op.operands)
+    for op, p in zip(g.ops, partition.assignment.tolist()):
+        touched[p].update(op.operands)
     return max((len(t) for t in touched), default=0)
 
 
@@ -223,7 +223,6 @@ class DelayMatrix:
     """k x k qubit-transfer delays (us); diagonal is the intra-core cache load."""
 
     d: np.ndarray
-    grid: np.ndarray
 
 
 def delay_matrix(geom: CoreGeometry, params: FabricParams, layout: np.ndarray) -> DelayMatrix:
@@ -242,20 +241,4 @@ def delay_matrix(geom: CoreGeometry, params: FabricParams, layout: np.ndarray) -
             else:
                 steps = abs(int(layout[x, 0] - layout[y, 0])) + abs(int(layout[x, 1] - layout[y, 1]))
                 d[x, y] = float(steps * inter_unit)
-    return DelayMatrix(d, layout.copy())
-
-
-def xy_route(src: int, dst: int, layout: np.ndarray) -> list[tuple[int, int]]:
-    """Mesh path: adjust column to the target first, then the row."""
-    r0, c0 = (int(v) for v in layout[src])
-    r1, c1 = (int(v) for v in layout[dst])
-    path = [(r0, c0)]
-    c = c0
-    while c != c1:
-        c += 1 if c1 > c else -1
-        path.append((r0, c))
-    r = r0
-    while r != r1:
-        r += 1 if r1 > r else -1
-        path.append((r, c1))
-    return path
+    return DelayMatrix(d)

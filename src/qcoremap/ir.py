@@ -63,12 +63,6 @@ def canonical_signature(body: tuple[QuantumOp, ...]) -> tuple:
 class Kernel:
     id: str
     body: tuple[QuantumOp, ...]
-    touched_qubits: frozenset[int]
-
-    @staticmethod
-    def from_body(kernel_id: str, body: tuple[QuantumOp, ...]) -> "Kernel":
-        touched = frozenset(q for op in body for q in op.operands)
-        return Kernel(kernel_id, body, touched)
 
 
 @dataclass(frozen=True)
@@ -178,7 +172,7 @@ class _Parser:
             self.error("unexpected text after .endkernel", lineno)
         if not self.open_body:
             self.error(f"kernel '{self.open_kernel}' has an empty body", lineno)
-        self.kernels[self.open_kernel] = Kernel.from_body(self.open_kernel, tuple(self.open_body))
+        self.kernels[self.open_kernel] = Kernel(self.open_kernel, tuple(self.open_body))
         self.open_kernel = None
         self.open_body = []
 
@@ -232,7 +226,7 @@ class _Parser:
             self.implicit_count += 1
             if kid not in self.kernels:
                 break
-        self.kernels[kid] = Kernel.from_body(kid, tuple(self.loose_run))
+        self.kernels[kid] = Kernel(kid, tuple(self.loose_run))
         self.stages.append((kid, 1, 0))
         self.loose_run = []
 

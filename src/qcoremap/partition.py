@@ -37,20 +37,18 @@ class WeightAnnotation:
     """One-hot level weights: node_dim[i] is the dimension index or -1."""
 
     n_con: int
-    levels: tuple[int, ...]
     node_dim: np.ndarray
 
 
 def assign_weight_vectors(g: Qodg, k: int) -> WeightAnnotation:
     """Give every level with at least k nodes its own one-hot dimension."""
-    if not g.leveled:
+    if (g.level < 0).any():
         raise ValueError("graph must be leveled before weight assignment")
     if k < 1:
         raise ConfigError("part count must be >= 1")
-    wide = sorted(lv for lv, n in g.level_sizes.items() if n >= k)
-    dim_of = {lv: j for j, lv in enumerate(wide)}
-    node_dim = np.array([dim_of.get(nd.level, -1) for nd in g.nodes], dtype=np.int64)
-    return WeightAnnotation(len(wide), tuple(wide), node_dim)
+    wide = np.bincount(g.level) >= k
+    dim_of = np.where(wide, np.cumsum(wide) - 1, -1)
+    return WeightAnnotation(int(wide.sum()), dim_of[g.level])
 
 
 @dataclass(frozen=True)

@@ -2,29 +2,29 @@
 
 An edge i -> j exists when the two operations share at least one qubit and j
 is the first operation after i that uses the shared qubit(s). Per qubit, the
-operations touching it therefore form a simple chain in textual order.
+operations touching it therefore form a simple chain in textual order, and
+every edge goes forward: operation order is a topological order, so
+leveling and the critical path are single forward passes.
+
+Nodes are array-backed: node i is `ops[i]` (the kernel body itself), with
+its delay, ancilla count and level at index i of the node arrays. Edges stay
+`QodgEdge` tuples because `dump_dot` prints each edge's shared qubits, and
+`preds`/`succs` stay tuples of tuples because leveling, the critical path
+and the scheduler walk them in Python loops, where tuple indexing is
+cheaper than numpy scalar access.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError
 from .ir import Kernel, QuantumOp
 
 if TYPE_CHECKING:
     from .fabric import QecProfile
-
-
-@dataclass(frozen=True)
-class QodgNode:
-    op: QuantumOp
-    delay_us: float
-    ancilla: int
-    level: int = -1
 
 
 @dataclass(frozen=True)
@@ -41,24 +41,16 @@ class QodgEdge:
 @dataclass(frozen=True)
 class Qodg:
     kernel_id: str
-    nodes: tuple[QodgNode, ...]
+    ops: tuple[QuantumOp, ...]
+    delay_us: np.ndarray        # float64 per node
+    ancilla: np.ndarray         # int64 per node
     edges: tuple[QodgEdge, ...]
     preds: tuple[tuple[int, ...], ...]
     succs: tuple[tuple[int, ...], ...]
-    level_sizes: dict[int, int]
+    level: np.ndarray           # int64 per node, ASAP level; -1 until leveled
 
     def __len__(self):
-        return len(self.nodes)
-
-    @property
-    def leveled(self) -> bool:
-        return all(n.level >= 0 for n in self.nodes) if self.nodes else True
-
-    def ancilla(self) -> np.ndarray:
-        return np.array([n.ancilla for n in self.nodes], dtype=np.int64)
-
-    def levels(self) -> np.ndarray:
-        return np.array([n.level for n in self.nodes], dtype=np.int64)
+        return len(self.ops)
 
 
 def build_qodg(kernel: Kernel, profile: "QecProfile") -> Qodg:
@@ -66,11 +58,7 @@ def build_qodg(kernel: Kernel, profile: "QecProfile") -> Qodg:
 
     Raises ConfigError when an operation kind has no profile row.
     """
-    nodes = []
-    for op in kernel.body:
-        cost = profile.lookup(op.kind)
-        nodes.append(QodgNode(op, cost.delay_us, cost.ancilla))
-
+    costs = [profile.lookup(op.kind) for op in kernel.body]
     shared: dict[tuple[int, int], set[int]] = {}
     last_use: dict[int, int] = {}
     for j, op in enumerate(kernel.body):
@@ -82,7 +70,7 @@ def build_qodg(kernel: Kernel, profile: "QecProfile") -> Qodg:
     edges = tuple(
         QodgEdge(src, dst, frozenset(qs)) for (src, dst), qs in sorted(shared.items())
     )
-    n = len(nodes)
+    n = len(kernel.body)
     preds: list[list[int]] = [[] for _ in range(n)]
     succs: list[list[int]] = [[] for _ in range(n)]
     for e in edges:
@@ -90,75 +78,42 @@ def build_qodg(kernel: Kernel, profile: "QecProfile") -> Qodg:
         succs[e.src].append(e.dst)
     return Qodg(
         kernel.id,
-        tuple(nodes),
+        kernel.body,
+        np.array([c.delay_us for c in costs], dtype=np.float64),
+        np.array([c.ancilla for c in costs], dtype=np.int64),
         edges,
         tuple(tuple(p) for p in preds),
         tuple(tuple(s) for s in succs),
-        {},
+        np.full(n, -1, dtype=np.int64),
     )
 
 
 def level_graph(g: Qodg) -> Qodg:
     """Assign ASAP levels (level = 1 + max over predecessors, 0 for sources)."""
-    n = len(g)
-    level = np.zeros(n, dtype=np.int64)
-    indeg = np.array([len(p) for p in g.preds])
-    queue = [i for i in range(n) if indeg[i] == 0]
-    seen = 0
-    while queue:
-        u = queue.pop()
-        seen += 1
-        for v in g.succs[u]:
-            if level[u] + 1 > level[v]:
-                level[v] = level[u] + 1
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                queue.append(v)
-    if seen != n:
-        raise RuntimeError("cycle in dependency graph (construction bug)")
-    sizes: dict[int, int] = {}
-    for lv in level:
-        sizes[int(lv)] = sizes.get(int(lv), 0) + 1
-    nodes = tuple(
-        QodgNode(nd.op, nd.delay_us, nd.ancilla, int(level[i]))
-        for i, nd in enumerate(g.nodes)
-    )
-    return Qodg(g.kernel_id, nodes, g.edges, g.preds, g.succs, sizes)
+    level = [0] * len(g)
+    for v, ps in enumerate(g.preds):
+        if ps:
+            if max(ps) >= v:
+                raise RuntimeError("backward edge in dependency graph (construction bug)")
+            level[v] = 1 + max(level[u] for u in ps)
+    return replace(g, level=np.array(level, dtype=np.int64))
 
 
-def critical_path(g: Qodg, routing: Mapping[tuple[int, int], float] | Sequence[float] | None = None) -> float:
-    """Longest-path length: node delays plus optional per-edge routing delays.
-
-    `routing` maps (src, dst) -> delay in microseconds, or gives one delay per
-    edge in `g.edges` order. Without routing the result is a lower bound on
-    the latency of any feasible schedule.
-    """
-    n = len(g)
-    if n == 0:
-        return 0.0
-    edge_cost = {}
-    if routing is not None:
-        if isinstance(routing, Mapping):
-            edge_cost = dict(routing)
-        else:
-            edge_cost = {(e.src, e.dst): float(routing[i]) for i, e in enumerate(g.edges)}
-    dist = [0.0] * n
-    # node indices are topologically sorted (edges always go seq-forward)
-    for v in range(n):
-        best = 0.0
-        for u in g.preds[v]:
-            cand = dist[u] + edge_cost.get((u, v), 0.0)
-            if cand > best:
-                best = cand
-        dist[v] = best + g.nodes[v].delay_us
-    return max(dist)
+def critical_path(g: Qodg) -> float:
+    """Longest path by node delays: a lower bound on the latency of any
+    feasible schedule."""
+    delay = g.delay_us.tolist()
+    dist = [0.0] * len(g)
+    for v, ps in enumerate(g.preds):
+        dist[v] = max((dist[u] for u in ps), default=0.0) + delay[v]
+    return max(dist, default=0.0)
 
 
 def dump_dot(g: Qodg, path) -> None:
     """Write the graph in DOT form (node: kind, level; edge: shared qubits)."""
     lines = [f'digraph "{g.kernel_id}" {{']
-    for i, nd in enumerate(g.nodes):
-        lines.append(f'  n{i} [label="{i}:{nd.op.kind}" kind="{nd.op.kind}" level={nd.level}];')
+    for i, (op, lv) in enumerate(zip(g.ops, g.level.tolist())):
+        lines.append(f'  n{i} [label="{i}:{op.kind}" kind="{op.kind}" level={lv}];')
     for e in g.edges:
         qs = ",".join(str(q) for q in sorted(e.shared_qubits))
         lines.append(f'  n{e.src} -> n{e.dst} [qubits="{qs}"];')

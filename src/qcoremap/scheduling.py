@@ -14,13 +14,16 @@ profile of RCPSP scheduling: a sorted list of breakpoint levels and the
 ancilla in use from each breakpoint to the next (`_schedule_impl`). Placing
 an operation walks and splits only the segments its window touches, so the
 cost depends on the number of operations, not on how many levels a fine
-cycle time makes them span. `verify_schedule` re-checks the budget from the
+cycle time makes them span. `verify_schedule` re-checks the schedule
+against the graph and the quantized durations, and the budget from the
 schedule's own operations, with a sorted sweep over their start and end
 events.
 
 Every same-core dependency pays the intra-core cache-load lag (the delay
-matrix diagonal); cross-core dependencies pay the mesh transfer delay and
-get an xy route recorded for reporting.
+matrix diagonal); cross-core dependencies pay the mesh transfer delay.
+The schedule holds each operation's core, start and duration, its makespan
+and its latency; per-core ancilla use and inter-core transfers follow from
+those operations and the bound partition.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigError
-from .fabric import DelayMatrix, xy_route
+from .fabric import DelayMatrix
 from .partition import Partition
 from .binding import Binding
 from .qodg import Qodg
@@ -64,7 +67,7 @@ def _decimal(us: float) -> Fraction:
 def quantize(g: Qodg, dmat: DelayMatrix, cfg: ScheduleConfig) -> LevelizedDurations:
     """Convert microsecond delays to integer level counts."""
     cyc = _decimal(cfg.cycle_time)
-    delays = [nd.delay_us for nd in g.nodes]
+    delays = g.delay_us.tolist()
     d = dmat.d.tolist()
     levels = {v: math.ceil(_decimal(v) / cyc) for v in set(delays).union(*d)}
     dur = np.array([levels[v] for v in delays], dtype=np.int64)
@@ -82,20 +85,10 @@ class ScheduledOp:
 
 
 @dataclass(frozen=True)
-class QubitRoute:
-    edge: tuple[int, int]
-    path: tuple[tuple[int, int], ...]
-    start: int
-    dur_levels: int
-
-
-@dataclass(frozen=True)
 class MappedSchedule:
     ops: tuple[ScheduledOp, ...]
     makespan: int
     latency_us: float
-    occupancy: np.ndarray       # (k, makespan + 1); column 0 unused
-    routes: tuple[QubitRoute, ...]
 
 
 def _split(bp: list[int], use: list[int], z: int) -> int:
@@ -164,58 +157,34 @@ def _priorities(g: Qodg, dur: np.ndarray) -> np.ndarray:
 
 
 def list_schedule(g: Qodg, partition: Partition, binding: Binding,
-                  budget_per_core: int, lev: LevelizedDurations,
-                  grid: np.ndarray | None = None) -> MappedSchedule:
+                  budget_per_core: int, lev: LevelizedDurations) -> MappedSchedule:
     """Schedule every operation once, honoring precedence+routing lags and
     the per-core ancilla budget at every level it occupies."""
     n = len(g)
-    core = np.array(
-        [binding.part_to_core[int(partition.assignment[i])] for i in range(n)],
-        dtype=np.int64,
-    )
-    anc = g.ancilla()
+    core = [binding.part_to_core[p] for p in partition.assignment.tolist()]
+    anc = g.ancilla
     if n and int(anc.max()) > budget_per_core:
         raise ConfigError(
             f"operation needs {int(anc.max())} ancilla, exceeding the per-core budget {budget_per_core}"
         )
-    dur = lev.dur_levels
     if n == 0:
-        return MappedSchedule((), 0, 0.0, np.zeros((len(binding.part_to_core), 1), dtype=np.int64), ())
+        return MappedSchedule((), 0, 0.0)
 
-    prio = _priorities(g, dur)
+    prio = _priorities(g, lev.dur_levels)
     seq = np.arange(n, dtype=np.int64)
     order = np.lexsort((seq, -prio))
 
-    n_cores = len(binding.part_to_core)
-    start = np.array(_schedule_impl(
-        order.tolist(), dur.tolist(), anc.tolist(), core.tolist(), g.preds,
-        lev.route_levels.tolist(), n_cores, budget_per_core,
-    ), dtype=np.int64)
-
-    makespan = int((start + dur - 1).max())
-    ops = tuple(
-        ScheduledOp(i, g.nodes[i].op.kind, int(core[i]), int(start[i]), int(dur[i]))
-        for i in range(n)
+    dur = lev.dur_levels.tolist()
+    start = _schedule_impl(
+        order.tolist(), dur, anc.tolist(), core, g.preds,
+        lev.route_levels.tolist(), len(binding.part_to_core), budget_per_core,
     )
-    routes = []
-    for e in g.edges:
-        cu, cv = int(core[e.src]), int(core[e.dst])
-        if cu != cv:
-            path = tuple(xy_route(cu, cv, grid)) if grid is not None else ()
-            routes.append(QubitRoute(
-                (e.src, e.dst), path,
-                int(start[e.src] + dur[e.src]),
-                int(lev.route_levels[cu, cv]),
-            ))
-    # ancilla in use per core and level, by a difference array: +anc at
-    # each op's start, -anc at its end (at most makespan + 1). The cumsum
-    # runs in place, so only one array of this size is ever touched.
-    occ = np.zeros((n_cores, makespan + 2), dtype=np.int64)
-    np.add.at(occ, (core, start), anc)
-    np.add.at(occ, (core, start + dur), -anc)
-    np.cumsum(occ, axis=1, out=occ)
-    latency = makespan * lev.cycle_time
-    return MappedSchedule(ops, makespan, latency, occ[:, :-1], tuple(routes))
+    ops = tuple(
+        ScheduledOp(i, op.kind, c, s, d)
+        for i, (op, c, s, d) in enumerate(zip(g.ops, core, start, dur))
+    )
+    makespan = max(op.start + op.dur_levels - 1 for op in ops)
+    return MappedSchedule(ops, makespan, makespan * lev.cycle_time)
 
 
 def verify_schedule(sched: MappedSchedule, g: Qodg, partition: Partition,
@@ -223,11 +192,12 @@ def verify_schedule(sched: MappedSchedule, g: Qodg, partition: Partition,
                     lev: LevelizedDurations) -> tuple[bool, list[str]]:
     """Independent re-check of the schedule constraints.
 
-    Verifies: each op scheduled exactly once at level >= 1; precedence with
-    routing lags; per-core per-level ancilla occupancy within budget; and
-    the makespan covering every op's finish. An op whose node is not in the
-    graph is reported and left out of the other checks. Violations are
-    returned as human-readable strings; empty list means pass.
+    Verifies: each op scheduled exactly once at level >= 1 for its quantized
+    duration; precedence with routing lags; per-core per-level ancilla
+    occupancy within budget; and the makespan covering every op's finish.
+    An op whose node is not in the graph is reported and left out of the
+    other checks. Violations are returned as human-readable strings; empty
+    list means pass.
     """
     violations: list[str] = []
     n = len(g)
@@ -240,10 +210,15 @@ def verify_schedule(sched: MappedSchedule, g: Qodg, partition: Partition,
             violations.append(f"op {op.node} scheduled more than once")
         by_node[op.node] = op
     for i in range(n):
-        if i not in by_node:
+        op = by_node.get(i)
+        if op is None:
             violations.append(f"op {i} never scheduled")
-        elif by_node[i].start < 1:
+            continue
+        if op.start < 1:
             violations.append(f"op {i} starts before level 1")
+        if op.dur_levels != lev.dur_levels[i]:
+            violations.append(f"op {i} lasts {op.dur_levels} levels, "
+                              f"quantized duration is {lev.dur_levels[i]}")
 
     def core_of(i: int) -> int:
         return binding.part_to_core[int(partition.assignment[i])]
@@ -271,7 +246,7 @@ def verify_schedule(sched: MappedSchedule, g: Qodg, partition: Partition,
         cores = np.array([op.core for op in ops], dtype=np.int64)
         lo = np.array([op.start for op in ops], dtype=np.int64)
         hi = lo + np.maximum([op.dur_levels for op in ops], 0)
-        anc = np.array([g.nodes[op.node].ancilla for op in ops], dtype=np.int64)
+        anc = g.ancilla[[op.node for op in ops]]
         ev_core = np.concatenate([cores, cores])
         ev_level = np.concatenate([lo, hi])
         order = np.lexsort((ev_level, ev_core))

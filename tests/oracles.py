@@ -69,6 +69,42 @@ def dependency_edges(ops: list[tuple[str, tuple[int, ...]]]) -> dict[tuple[int, 
 
 
 # ----------------------------------------------------------------------
+# ASAP levels by a Kahn queue, and one-hot weight dimensions by a dict
+
+def reference_levels(g) -> np.ndarray:
+    """ASAP level per node (1 + max over predecessors, 0 for sources),
+    visiting nodes in queue order rather than in op order."""
+    n = len(g)
+    level = np.zeros(n, dtype=np.int64)
+    indeg = np.array([len(p) for p in g.preds])
+    queue = [i for i in range(n) if indeg[i] == 0]
+    seen = 0
+    while queue:
+        u = queue.pop()
+        seen += 1
+        for v in g.succs[u]:
+            if level[u] + 1 > level[v]:
+                level[v] = level[u] + 1
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                queue.append(v)
+    if seen != n:
+        raise RuntimeError("cycle in dependency graph")
+    return level
+
+
+def reference_node_dim(levels, k: int) -> list[int]:
+    """Dimension per node: levels holding at least k nodes, numbered in
+    level order, and -1 for every other node."""
+    sizes: dict[int, int] = {}
+    for lv in levels:
+        sizes[lv] = sizes.get(lv, 0) + 1
+    wide = sorted(lv for lv, n in sizes.items() if n >= k)
+    dim_of = {lv: j for j, lv in enumerate(wide)}
+    return [dim_of.get(lv, -1) for lv in levels]
+
+
+# ----------------------------------------------------------------------
 # critical path by full path enumeration
 
 def longest_path(n: int, edges: dict[tuple[int, int], set[int]], delays,

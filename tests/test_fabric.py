@@ -17,7 +17,6 @@ from qcoremap import (
     kway_partition,
     level_graph,
     load_qec_profile,
-    xy_route,
 )
 from qcoremap.fabric import OpCost, QecProfile
 
@@ -136,7 +135,7 @@ def test_compute_dmax(uniform_profile):
     dmax = compute_dmax(g, part)
     parts = part.parts()
     expect = max(
-        len({q for i in side for q in g.nodes[i].op.operands}) for side in parts if side
+        len({q for i in side for q in g.ops[i].operands}) for side in parts if side
     )
     assert dmax == expect
     assert compute_dmax(g, kway_partition(g, 1)) == 4  # k=1: every qubit
@@ -149,33 +148,13 @@ def test_budget_validation(steane):
 
 
 # ----------------------------------------------------------------------
-# grid + routing
+# grid + delays
 
 def test_grid_layouts():
     assert grid_layout(4).tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
     assert grid_layout(2).tolist() == [[0, 0], [0, 1]]
     assert grid_layout(5).tolist() == [[0, 0], [0, 1], [0, 2], [1, 0], [1, 1]]
     assert grid_layout(1).tolist() == [[0, 0]]
-
-
-def test_xy_routes():
-    layout = np.array([[0, 0], [0, 1], [0, 2], [1, 0], [1, 1], [1, 2]])
-    assert xy_route(0, 5, layout) == [(0, 0), (0, 1), (0, 2), (1, 2)]
-    assert xy_route(2, 2, layout) == [(0, 2)]
-    assert xy_route(4, 0, layout) == [(1, 1), (1, 0), (0, 0)]
-
-
-def test_xy_route_length_is_manhattan_exhaustive():
-    for k in range(1, 17):
-        layout = grid_layout(k)
-        for a in range(k):
-            for b in range(k):
-                path = xy_route(a, b, layout)
-                manhattan = abs(int(layout[a, 0] - layout[b, 0])) + \
-                    abs(int(layout[a, 1] - layout[b, 1]))
-                assert len(path) == manhattan + 1
-                for u, v in zip(path, path[1:]):
-                    assert abs(u[0] - v[0]) + abs(u[1] - v[1]) == 1
 
 
 def test_inter_core_delay_linear_in_distance(steane):

@@ -22,7 +22,6 @@ def test_loose_gates_form_one_implicit_kernel():
     assert count == 1
     body = p.kernels[kid].body
     assert [(op.kind, op.operands) for op in body] == [("CNOT", (0, 1)), ("T", (1,))]
-    assert p.kernels[kid].touched_qubits == {0, 1}
 
 
 def test_kernel_block_and_call():

@@ -1,12 +1,23 @@
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import ops_to_netlist, random_ops, single_kernel
-from oracles import dependency_edges, longest_path
+from oracles import dependency_edges, longest_path, reference_levels, reference_node_dim
 
-from qcoremap import ConfigError, build_qodg, critical_path, dump_dot, level_graph, parse_program
+from qcoremap import (
+    ConfigError,
+    assign_weight_vectors,
+    build_qodg,
+    critical_path,
+    dump_dot,
+    level_graph,
+    parse_program,
+)
 from qcoremap.fabric import OpCost, QecProfile
 
 
@@ -43,15 +54,50 @@ def test_cnot_pair_shares_both_qubits(uniform_profile):
 
 def test_levels_of_three_op_example(uniform_profile):
     g = three_op_kernel(uniform_profile)
-    assert list(g.levels()) == [0, 1, 1]
-    assert g.level_sizes == {0: 1, 1: 2}
+    assert g.level.tolist() == [0, 1, 1]
 
 
 def test_chain_levels(uniform_profile):
     _, k = single_kernel("qubit q\n" + "T q\n" * 5)
     g = level_graph(build_qodg(k, uniform_profile))
-    assert list(g.levels()) == [0, 1, 2, 3, 4]
-    assert g.level_sizes == {i: 1 for i in range(5)}
+    assert g.level.tolist() == [0, 1, 2, 3, 4]
+
+
+def test_backward_edge_raises(uniform_profile):
+    _, k = single_kernel("qubit a\nqubit b\nH a\nH b\n")
+    g = replace(build_qodg(k, uniform_profile), preds=((1,), ()), succs=((), (0,)))
+    with pytest.raises(RuntimeError):
+        level_graph(g)
+
+
+@st.composite
+def _netlists(draw):
+    """Random kernels, single-qubit chains and kernels without edges."""
+    n_ops = draw(st.integers(1, 40))
+    shape = draw(st.sampled_from(("random", "chain", "no_edges")))
+    if shape == "chain":
+        return ops_to_netlist([("T", (0,))] * n_ops, 1)
+    if shape == "no_edges":
+        return ops_to_netlist([("H", (q,)) for q in range(n_ops)], n_ops)
+    n_q = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return ops_to_netlist(random_ops(rng, n_ops, n_q), n_q)
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=_netlists())
+@example(text="qubit a\nH a\n")
+def test_levels_and_weight_dims_match_the_references(text, steane):
+    _, k = single_kernel(text)
+    g = level_graph(build_qodg(k, steane))
+    assert g.level.tolist() == reference_levels(g).tolist()
+    widest = int(np.bincount(g.level).max())
+    for parts in (*range(1, 7), widest + 1):
+        ann = assign_weight_vectors(g, parts)
+        want = reference_node_dim(g.level.tolist(), parts)
+        assert ann.node_dim.tolist() == want
+        assert ann.n_con == len({d for d in want if d >= 0})
+    assert assign_weight_vectors(g, widest + 1).n_con == 0
 
 
 def test_missing_profile_row_raises():
@@ -65,7 +111,7 @@ def test_tdg_inherits_t_row():
     prof = QecProfile("tonly", 7, {"T": OpCost(100, 400.0, False)})
     _, k = single_kernel("qubit a\nTdg a\n")
     g = build_qodg(k, prof)
-    assert g.nodes[0].ancilla == 100
+    assert g.ancilla[0] == 100
 
 
 def test_critical_path_chain(uniform_profile):
@@ -78,8 +124,6 @@ def test_critical_path_three_op_example(uniform_profile):
     g = three_op_kernel(uniform_profile)
     # both maximal paths have two 10us ops
     assert critical_path(g) == pytest.approx(20.0)
-    routed = {(e.src, e.dst): 96.0 for e in g.edges}
-    assert critical_path(g, routed) == pytest.approx(116.0)
 
 
 def test_critical_path_empty():
@@ -124,13 +168,9 @@ def test_critical_path_matches_enumeration(uniform_profile):
         ops = random_ops(rng, int(rng.integers(1, 12)), n_q)
         _, k = single_kernel(ops_to_netlist(ops, n_q))
         g = level_graph(build_qodg(k, uniform_profile))
-        delays = [nd.delay_us for nd in g.nodes]
+        delays = g.delay_us.tolist()
         edges = {(e.src, e.dst): set(e.shared_qubits) for e in g.edges}
-        routing = {(e.src, e.dst): float(10 * (1 + e.src)) for e in g.edges}
         assert critical_path(g) == pytest.approx(longest_path(len(g), edges, delays))
-        assert critical_path(g, routing) == pytest.approx(
-            longest_path(len(g), edges, delays, routing)
-        )
 
 
 def test_dot_dump(uniform_profile):

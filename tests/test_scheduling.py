@@ -33,7 +33,7 @@ def _one_op_graph(delay_us):
 
 
 def _levels(delay_us, cycle_time):
-    dmat = DelayMatrix(np.array([[delay_us]]), np.zeros((1, 2), dtype=np.int64))
+    dmat = DelayMatrix(np.array([[delay_us]]))
     lev = quantize(_one_op_graph(delay_us), dmat, ScheduleConfig(cycle_time))
     return int(lev.dur_levels[0]), int(lev.route_levels[0, 0])
 
@@ -66,7 +66,7 @@ def test_tiny_schedules_verify_and_respect_the_optimum(seed, steane):
     core = [km.binding.part_to_core[int(p)] for p in km.partition.assignment]
     lag = {(u, v): int(lev.route_levels[core[u], core[v]]) for v in range(len(g)) for u in g.preds[v]}
     best = optimal_makespan(len(g), g.preds, [int(t) for t in lev.dur_levels],
-                            [int(a) for a in g.ancilla()], core, lag, k, budget)
+                            g.ancilla.tolist(), core, lag, k, budget)
     assert sched.makespan >= best
 
 
@@ -89,9 +89,9 @@ def _bound_schedule(seed, k, cycle, zero_delay_kind=None):
     g = level_graph(build_qodg(parse_program(text).kernels["_top0"], profile))
     part = Partition(rng.integers(0, k, size=len(g)), k, np.zeros((k, k), dtype=np.int64))
     binding = Binding(tuple(int(c) for c in rng.permutation(k)), 0.0, True)
-    dmat = DelayMatrix(rng.choice(_DELAYS_US, size=(k, k)), np.zeros((k, 2), dtype=np.int64))
+    dmat = DelayMatrix(rng.choice(_DELAYS_US, size=(k, k)))
     lev = quantize(g, dmat, ScheduleConfig(cycle))
-    budget = int(g.ancilla().max())
+    budget = int(g.ancilla.max())
     core = [binding.part_to_core[int(p)] for p in part.assignment]
     sched = list_schedule(g, part, binding, budget, lev)
     ok, violations = verify_schedule(sched, g, part, binding, budget, lev)
@@ -100,13 +100,11 @@ def _bound_schedule(seed, k, cycle, zero_delay_kind=None):
 
 
 def _assert_matches_levelwise(g, core, lev, budget, sched, k):
-    start, occ = levelwise_reference(
-        g.preds, lev.dur_levels.tolist(), g.ancilla().tolist(), core,
+    start, _ = levelwise_reference(
+        g.preds, lev.dur_levels.tolist(), g.ancilla.tolist(), core,
         lev.route_levels.tolist(), k, budget,
     )
     assert [op.start for op in sched.ops] == start
-    assert sched.occupancy.shape == (k, sched.makespan + 1)
-    assert np.array_equal(sched.occupancy, occ[:, : sched.makespan + 1])
 
 
 @settings(max_examples=120, deadline=None)
@@ -129,13 +127,12 @@ def test_zero_level_op_between_two_ops():
                                QecProfile("zero", 7, rows)))
     part = Partition(np.zeros(3, dtype=np.int64), 1, np.zeros((1, 1), dtype=np.int64))
     binding = Binding((0,), 0.0, True)
-    dmat = DelayMatrix(np.array([[1.0]]), np.zeros((1, 2), dtype=np.int64))
+    dmat = DelayMatrix(np.array([[1.0]]))
     lev = quantize(g, dmat, ScheduleConfig(1.0))
     sched = list_schedule(g, part, binding, 9, lev)
     # T at 1-2, lag 1, H at 4 with no levels, lag 1, T at 5-6
     assert [(op.start, op.dur_levels) for op in sched.ops] == [(1, 2), (4, 0), (5, 2)]
     assert sched.makespan == 6
-    assert sched.occupancy.tolist() == [[0, 9, 9, 0, 0, 9, 9]]
     assert verify_schedule(sched, g, part, binding, 9, lev) == (True, [])
 
 
@@ -181,16 +178,24 @@ def test_verifier_flags_every_level_over_a_budget_one_below_the_peak(walk_map):
     usage = {}
     for op in km.schedule.ops:
         for z in range(op.start, op.start + op.dur_levels):
-            usage[op.core, z] = usage.get((op.core, z), 0) + km.qodg.nodes[op.node].ancilla
+            usage[op.core, z] = usage.get((op.core, z), 0) + int(km.qodg.ancilla[op.node])
     peak = max(usage.values())
     want = [f"core {c} level {z}: ancilla {peak} > budget {peak - 1}"
             for (c, z), a in sorted(usage.items()) if a == peak]
     assert _verify(km, km.schedule, peak - 1) == (False, want)
-    # the schedule's own occupancy agrees with the per-level count
-    occ = np.zeros_like(km.schedule.occupancy)
-    for (c, z), a in usage.items():
-        occ[c, z] = a
-    assert np.array_equal(km.schedule.occupancy, occ)
+
+
+def test_verifier_flags_ops_shorter_than_their_quantized_duration(walk_map):
+    km, budget = walk_map
+    # one level per op keeps every dependency and the budget, and the
+    # makespan is patched to the shortened finish
+    short = tuple(replace(op, dur_levels=1) for op in km.schedule.ops)
+    makespan = max(op.start for op in short)
+    want = [f"op {op.node} lasts 1 levels, quantized duration is {km.lev.dur_levels[op.node]}"
+            for op in short]
+    assert all(km.lev.dur_levels > 1)
+    assert _verify(km, replace(km.schedule, ops=short, makespan=makespan), budget) == (
+        False, want)
 
 
 def test_verifier_flags_a_duplicated_op(walk_map):
@@ -206,8 +211,7 @@ def test_verifier_reports_an_op_not_in_the_graph(uniform_profile):
                                uniform_profile))
     part = Partition(np.zeros(2, dtype=np.int64), 1, np.zeros((1, 1), dtype=np.int64))
     binding = Binding((0,), 0.0, True)
-    lev = quantize(g, DelayMatrix(np.array([[1.0]]), np.zeros((1, 2), dtype=np.int64)),
-                   ScheduleConfig(1.0))
+    lev = quantize(g, DelayMatrix(np.array([[1.0]])), ScheduleConfig(1.0))
     sched = list_schedule(g, part, binding, 10, lev)
     assert len(sched.ops) == 2
     for node in (5, -1):
