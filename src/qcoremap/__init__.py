@@ -11,13 +11,10 @@ from .ir import (
     LogicalQubit,
     QuantumOp,
     StageSequence,
-    flat_expansion,
-    flat_op_count,
     identify_kernels,
     parse_program,
-    serialize_program,
 )
-from .qodg import Qodg, QodgEdge, build_qodg, critical_path, dump_dot, level_graph
+from .qodg import Qodg, QodgEdge, build_qodg, critical_path, level_graph, render_dot
 from .partition import (
     Partition,
     WeightAnnotation,
@@ -27,7 +24,6 @@ from .partition import (
 )
 from .fabric import (
     CoreGeometry,
-    DelayMatrix,
     FabricParams,
     OpCost,
     QecProfile,
@@ -54,7 +50,7 @@ from .driver import (
     SweepResult,
     map_program,
     render_report,
+    render_sweep_csv,
     sweep_budget,
     sweep_cores,
-    write_sweep_csv,
 )

@@ -8,11 +8,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .driver import map_program, render_report, sweep_budget, sweep_cores, write_sweep_csv
+from .driver import map_program, render_report, render_sweep_csv, sweep_budget, sweep_cores
 from .errors import ConfigError, NetlistError
 from .fabric import FabricParams, bundled_profile, load_qec_profile
 from .ir import parse_program
-from .qodg import dump_dot
+from .qodg import render_dot
 from .scheduling import ScheduleConfig
 
 BUNDLED = ("steane", "bacon_shor")
@@ -86,11 +86,12 @@ def main(argv=None) -> int:
         if args.command == "map":
             report = map_program(program, profile, params, cfg, args.epsilon, args.seed)
             if args.dump_qodg:
-                with open(args.dump_qodg, "w", encoding="utf-8") as fh:
-                    for rep_id in sorted(report.kernel_maps):
-                        dump_dot(report.kernel_maps[rep_id].qodg, fh)
+                _emit("".join(render_dot(km.qodg) for _, km in sorted(report.kernel_maps.items())),
+                      args.dump_qodg)
             _emit(render_report(report, include_timings=args.timings), args.out)
         elif args.command == "sweep-budget":
+            if args.a_step < 1:
+                raise ConfigError(f"budget step must be >= 1, got {args.a_step}")
             budgets = range(args.a_from, args.a_to + 1, args.a_step)
             if not budgets:
                 raise ConfigError("empty budget range")
@@ -101,13 +102,17 @@ def main(argv=None) -> int:
             if result.saturation_value is not None:
                 print(f"saturation: A={result.saturation_value} "
                       f"latency_us={result.saturation_latency_us:g}", file=sys.stderr)
-            write_sweep_csv(result, args.out or sys.stdout)
+            _emit(render_sweep_csv(result), args.out)
         else:
-            ks = [int(v) for v in args.k_list.split(",") if v.strip()]
+            try:
+                ks = [int(v) for v in args.k_list.split(",") if v.strip()]
+            except ValueError:
+                raise ConfigError(
+                    f"--k-list takes comma-separated integers, got '{args.k_list}'") from None
             result = sweep_cores(program, profile, params, ks, cfg, args.epsilon, args.seed)
             for k, why in result.skipped:
                 print(f"warning: skipped k={k}: {why}", file=sys.stderr)
-            write_sweep_csv(result, args.out or sys.stdout)
+            _emit(render_sweep_csv(result), args.out)
     except NetlistError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 3

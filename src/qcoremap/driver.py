@@ -2,9 +2,11 @@
 
 For each distinct kernel (structural duplicates map once): build the
 dependency graph, partition it k ways, derive the core geometry and routing
-delays, bind parts to cores, and list-schedule under the per-core ancilla
-budget. Stages execute serially, so program latency is the sum over stages
-of repetition count times the mapped kernel latency.
+delays from the fabric parameters, bind parts to cores, and list-schedule
+under the per-core ancilla budget. `map_program` and `sweep_budget` prepare
+kernels through one path. Stages execute serially, so program latency is the
+sum over stages of repetition count times the mapped kernel latency. The
+renderers return text; writing it is left to the caller.
 """
 
 from __future__ import annotations
@@ -12,12 +14,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from . import __version__
 from .binding import Binding, bind_parts
 from .errors import ConfigError
 from .fabric import (
     CoreGeometry,
-    DelayMatrix,
     FabricParams,
     QecProfile,
     compute_dmax,
@@ -50,9 +53,8 @@ class KernelMapping:
     qodg: Qodg
     weights: WeightAnnotation
     partition: Partition
-    d_max: int
     geometry: CoreGeometry
-    dmat: DelayMatrix
+    dmat: np.ndarray            # k x k routing delays, us
     binding: Binding
     lev: LevelizedDurations
     timings_ms: dict[str, float]
@@ -61,25 +63,16 @@ class KernelMapping:
 
 @dataclass
 class MappingReport:
-    program: KernelProgram
     catalog: KernelCatalog
     profile: QecProfile
     params: FabricParams
     cfg: ScheduleConfig
-    eps: float
-    seed: int
-    geometry_budget: int
     kernel_maps: dict[str, KernelMapping]
     stages: tuple[tuple[str, str, int, float], ...]  # (kernel, rep, count, latency_us)
     program_latency_us: float
 
-    @property
-    def assumptions(self) -> tuple[str, ...]:
-        return ASSUMPTIONS
 
-
-def _prepare_kernel(rep_id, kernel, profile, params, cfg, eps, seed,
-                    geometry_budget) -> KernelMapping:
+def _prepare_kernel(rep_id, kernel, profile, params, cfg, eps, seed) -> KernelMapping:
     """Every budget-independent step: dependency graph, partition, geometry,
     delays, binding and quantized durations. The schedule is left unset."""
     timings: dict[str, float] = {}
@@ -93,17 +86,31 @@ def _prepare_kernel(rep_id, kernel, profile, params, cfg, eps, seed,
     timings["partition"] = (time.perf_counter() - t0) * 1e3
 
     t0 = time.perf_counter()
-    d_max = compute_dmax(g, part)
-    geom = compute_geometry(profile, params, d_max, budget=geometry_budget)
-    layout = grid_layout(params.core_count)
-    dmat = delay_matrix(geom, params, layout)
-    bnd = bind_parts(part.traffic, dmat.d)
+    geom = compute_geometry(profile, params, compute_dmax(g, part))
+    dmat = delay_matrix(geom, params, grid_layout(params.core_count))
+    bnd = bind_parts(part.traffic, dmat)
     timings["bind"] = (time.perf_counter() - t0) * 1e3
 
     t0 = time.perf_counter()
     lev = quantize(g, dmat, cfg)
     timings["quantize"] = (time.perf_counter() - t0) * 1e3
-    return KernelMapping(rep_id, g, ann, part, d_max, geom, dmat, bnd, lev, timings)
+    return KernelMapping(rep_id, g, ann, part, geom, dmat, bnd, lev, timings)
+
+
+def _prepare_program(program: KernelProgram, profile: QecProfile, params: FabricParams,
+                     cfg: ScheduleConfig, eps: float, seed: int
+                     ) -> tuple[KernelCatalog, dict[str, KernelMapping]]:
+    """Check the program and the budget, identify its distinct kernels and
+    prepare each one, in representative id order."""
+    if not program.sequence.stages:
+        raise ConfigError("program contains no operations to map")
+    params.validate_against(profile)
+    catalog = identify_kernels(program)
+    needed = sorted({rep for _, rep, _ in catalog.stage_instances})
+    return catalog, {
+        rep: _prepare_kernel(rep, catalog.representatives[rep], profile, params, cfg, eps, seed)
+        for rep in needed
+    }
 
 
 def _schedule_kernel(km: KernelMapping, budget_per_core: int) -> MappedSchedule:
@@ -127,34 +134,22 @@ def _program_latency(catalog: KernelCatalog, kernel_latency_us) -> float:
 
 
 def map_program(program: KernelProgram, profile: QecProfile, params: FabricParams,
-                cfg: ScheduleConfig | None = None, eps: float = 0.1, seed: int = 0,
-                geometry_budget: int | None = None) -> MappingReport:
+                cfg: ScheduleConfig | None = None, eps: float = 0.1,
+                seed: int = 0) -> MappingReport:
     """Run the whole pipeline; each distinct kernel is mapped exactly once
     and every schedule is verified."""
     cfg = cfg or ScheduleConfig()
-    if not program.sequence.stages:
-        raise ConfigError("program contains no operations to map")
-    params.validate_against(profile)
-    catalog = identify_kernels(program)
-    needed = {rep for _, rep, _ in catalog.stage_instances}
-    kernel_maps: dict[str, KernelMapping] = {}
-    for rep_id in sorted(needed):
-        km = _prepare_kernel(rep_id, catalog.representatives[rep_id], profile, params, cfg,
-                             eps, seed, geometry_budget)
+    catalog, kernel_maps = _prepare_program(program, profile, params, cfg, eps, seed)
+    for km in kernel_maps.values():
         t0 = time.perf_counter()
         km.schedule = _schedule_kernel(km, params.budget_per_core)
         km.timings_ms["schedule"] = (time.perf_counter() - t0) * 1e3
-        kernel_maps[rep_id] = km
     stages = tuple(
         (kid, rep, count, kernel_maps[rep].schedule.latency_us)
         for kid, rep, count in catalog.stage_instances
     )
     total = _program_latency(catalog, lambda rep: kernel_maps[rep].schedule.latency_us)
-    return MappingReport(
-        program, catalog, profile, params, cfg, eps, seed,
-        geometry_budget if geometry_budget is not None else params.ancilla_budget,
-        kernel_maps, stages, total,
-    )
+    return MappingReport(catalog, profile, params, cfg, kernel_maps, stages, total)
 
 
 # ----------------------------------------------------------------------
@@ -176,8 +171,6 @@ def render_report(report: MappingReport, include_timings: bool = False) -> str:
     out.append(f"  grid: {rows}x{cols}")
     out.append(f"  ancilla_budget: {p.ancilla_budget}")
     out.append(f"  budget_per_core: {p.budget_per_core}")
-    if report.geometry_budget != p.ancilla_budget:
-        out.append(f"  geometry_budget: {report.geometry_budget}")
     out.append(f"  beta_pmd_us: {_us(p.beta_pmd)}")
     out.append(f"  alpha_int: {p.alpha_int}")
     out.append(f"  gamma_mem: {p.gamma_mem:g}")
@@ -193,7 +186,7 @@ def render_report(report: MappingReport, include_timings: bool = False) -> str:
         )
         out.append("    d_us:")
         for x in range(p.core_count):
-            row = " ".join(_us(km.dmat.d[x, y]) for y in range(p.core_count))
+            row = " ".join(_us(km.dmat[x, y]) for y in range(p.core_count))
             out.append(f"      {row}")
     out.append("")
     out.append("KERNELS")
@@ -226,7 +219,7 @@ def render_report(report: MappingReport, include_timings: bool = False) -> str:
     out.append(f"  total_latency_us: {_us(report.program_latency_us)}")
     out.append("")
     out.append("ASSUMPTIONS")
-    for a in report.assumptions:
+    for a in ASSUMPTIONS:
         out.append(f"  - {a}")
     out.append(f"  provenance: qcoremap {__version__}")
     return "\n".join(out) + "\n"
@@ -244,7 +237,6 @@ class SweepPoint:
 
 @dataclass
 class SweepResult:
-    axis: str
     points: list[SweepPoint]
     skipped: list[tuple[int, str]]
     saturation_value: int | None = None
@@ -256,36 +248,30 @@ def sweep_budget(program: KernelProgram, profile: QecProfile, params: FabricPara
                  seed: int = 0) -> SweepResult:
     """Latency as a function of total ancilla budget.
 
-    The fabric geometry (and with it the routing-delay matrix, partition and
-    binding) is pinned at the largest feasible swept budget so the curve
-    isolates the ancilla-sharing trade-off; only the scheduler's per-core
-    budget varies between points. The saturation point -- the smallest budget
+    A budget that `FabricParams.validate_against` rejects is skipped with
+    its reason. The kernels are prepared once, at the largest feasible
+    budget, so the fabric geometry (and with it the routing-delay matrix,
+    partition and binding) is pinned and the curve isolates the
+    ancilla-sharing trade-off; only the scheduler's per-core budget varies
+    between points. The saturation point -- the smallest budget
     whose latency matches an unbounded-budget schedule -- is reported.
     """
     cfg = cfg or ScheduleConfig()
-    if not program.sequence.stages:
-        raise ConfigError("program contains no operations to map")
-    k = params.core_count
-    values = sorted(set(int(a) for a in budgets))
     feasible = []
     skipped = []
-    for a in values:
-        if a // k < profile.max_ancilla:
-            skipped.append((a, f"per-core budget {a // k} below max operation ancilla "
-                               f"{profile.max_ancilla}"))
+    for a in sorted(set(int(a) for a in budgets)):
+        try:
+            replace(params, ancilla_budget=a).validate_against(profile)
+        except ConfigError as exc:
+            skipped.append((a, str(exc)))
         else:
             feasible.append(a)
-    if not feasible:
-        return SweepResult("A", [], skipped)
-    pin = max(feasible)
-
-    catalog = identify_kernels(program)
-    needed = sorted({rep for _, rep, _ in catalog.stage_instances})
-    prepared = {
-        rep_id: _prepare_kernel(rep_id, catalog.representatives[rep_id], profile, params, cfg,
-                                eps, seed, pin)
-        for rep_id in needed
-    }
+    if not feasible and program.sequence.stages:
+        return SweepResult([], skipped)
+    # with no feasible budget only an empty program gets here, and
+    # _prepare_program rejects it before it looks at the budget
+    pinned = replace(params, ancilla_budget=max(feasible, default=params.ancilla_budget))
+    catalog, prepared = _prepare_program(program, profile, pinned, cfg, eps, seed)
 
     def program_latency(budget_per_core: int) -> float:
         return _program_latency(
@@ -295,13 +281,13 @@ def sweep_budget(program: KernelProgram, profile: QecProfile, params: FabricPara
     points = []
     for a in feasible:
         t0 = time.perf_counter()
-        lat = program_latency(a // k)
+        lat = program_latency(a // params.core_count)
         points.append(SweepPoint(a, lat, (time.perf_counter() - t0) * 1e3))
 
     unbounded = int(max(int(km.qodg.ancilla.sum()) for km in prepared.values())) + 1
     sat_latency = program_latency(unbounded)
     sat_value = next((pt.axis_value for pt in points if pt.latency_us == sat_latency), None)
-    return SweepResult("A", points, skipped, sat_value, sat_latency)
+    return SweepResult(points, skipped, sat_value, sat_latency)
 
 
 def sweep_cores(program: KernelProgram, profile: QecProfile, params: FabricParams,
@@ -324,16 +310,11 @@ def sweep_cores(program: KernelProgram, profile: QecProfile, params: FabricParam
             skipped.append((k, str(exc)))
             continue
         points.append(SweepPoint(k, rep.program_latency_us, (time.perf_counter() - t0) * 1e3))
-    return SweepResult("k", points, skipped)
+    return SweepResult(points, skipped)
 
 
-def write_sweep_csv(result: SweepResult, target) -> None:
+def render_sweep_csv(result: SweepResult) -> str:
     lines = ["axis,latency_us,runtime_ms"]
     for pt in result.points:
         lines.append(f"{pt.axis_value},{_us(pt.latency_us)},{pt.runtime_ms:.3f}")
-    text = "\n".join(lines) + "\n"
-    if hasattr(target, "write"):
-        target.write(text)
-    else:
-        with open(target, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    return "\n".join(lines) + "\n"

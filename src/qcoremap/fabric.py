@@ -60,20 +60,29 @@ class QecProfile:
         return self.rows[kind]
 
 
+def _number(parse, text: str, lineno: int):
+    try:
+        return parse(text)
+    except ValueError:
+        kind = "an integer" if parse is int else "a number"
+        raise ConfigError(f"profile line {lineno}: '{text}' is not {kind}") from None
+
+
 def load_qec_profile(source) -> QecProfile:
-    """Load a profile from a path, file object, or text.
+    """Load a profile from its text, or from a path (any string without a
+    newline is read as a path).
 
     Format (line-oriented, '#' comments):
         code <name> length <L>
         op <KIND> ancilla <int> delay_us <decimal> transversal <0|1>
+
+    A malformed line or field, or a value that is not positive and finite,
+    raises ConfigError with the line number.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = str(source)
-        if "\n" not in text:
-            with open(text, "r", encoding="utf-8") as fh:
-                text = fh.read()
+    text = str(source)
+    if "\n" not in text:
+        with open(text, "r", encoding="utf-8") as fh:
+            text = fh.read()
     name = None
     length = None
     rows: dict[str, OpCost] = {}
@@ -86,7 +95,7 @@ def load_qec_profile(source) -> QecProfile:
             if len(parts) != 4 or parts[2] != "length":
                 raise ConfigError(f"profile line {lineno}: expected 'code <name> length <L>'")
             name = parts[1]
-            length = int(parts[3])
+            length = _number(int, parts[3], lineno)
             if length <= 0:
                 raise ConfigError(f"profile line {lineno}: code length must be positive")
         elif parts[0] == "op":
@@ -95,11 +104,12 @@ def load_qec_profile(source) -> QecProfile:
                     f"profile line {lineno}: expected 'op <KIND> ancilla <int> delay_us <dec> transversal <0|1>'"
                 )
             kind = parts[1]
-            ancilla = int(parts[3])
-            delay = float(parts[5])
+            ancilla = _number(int, parts[3], lineno)
+            delay = _number(float, parts[5], lineno)
             transversal = parts[7] == "1"
-            if ancilla <= 0 or delay <= 0:
-                raise ConfigError(f"profile line {lineno}: ancilla and delay must be positive")
+            if ancilla <= 0 or not math.isfinite(delay) or delay <= 0:
+                raise ConfigError(
+                    f"profile line {lineno}: ancilla and delay must be positive and finite")
             rows[kind] = OpCost(ancilla, delay, transversal)
         else:
             raise ConfigError(f"profile line {lineno}: unknown entry '{parts[0]}'")
@@ -138,6 +148,8 @@ class FabricParams:
             raise ConfigError("core count must be >= 1")
         if self.ancilla_budget < 1:
             raise ConfigError("ancilla budget must be >= 1")
+        if not (math.isfinite(self.beta_pmd) and math.isfinite(self.gamma_mem)):
+            raise ConfigError("beta_pmd and gamma_mem must be finite")
         if self.beta_pmd <= 0 or self.alpha_int <= 0 or self.gamma_mem < 0:
             raise ConfigError("beta_pmd and alpha_int must be positive, gamma_mem nonnegative")
 
@@ -182,14 +194,11 @@ def compute_dmax(g: "Qodg", partition: "Partition") -> int:
     return max((len(t) for t in touched), default=0)
 
 
-def compute_geometry(profile: QecProfile, params: FabricParams, d_max: int,
-                     budget: int | None = None) -> CoreGeometry:
-    """Derive core side lengths from the per-core ancilla budget and d_max.
-
-    `budget` overrides params.ancilla_budget (used by budget sweeps that pin
-    the fabric while varying only the scheduling budget).
-    """
-    a = Fraction(budget if budget is not None else params.ancilla_budget, params.core_count)
+def compute_geometry(profile: QecProfile, params: FabricParams, d_max: int) -> CoreGeometry:
+    """Derive core side lengths from the per-core ancilla budget
+    (params.ancilla_budget / params.core_count, exact) and d_max. A budget
+    sweep pins the geometry by passing the params of its pinned budget."""
+    a = Fraction(params.ancilla_budget, params.core_count)
     l_code = profile.code_length
     radicand = a / profile.a_min * l_code + (a - Fraction(d_max, 2))
     if radicand < 0:
@@ -218,14 +227,9 @@ def grid_layout(k: int) -> np.ndarray:
     return np.array([(i // cols, i % cols) for i in range(k)], dtype=np.int64)
 
 
-@dataclass(frozen=True)
-class DelayMatrix:
-    """k x k qubit-transfer delays (us); diagonal is the intra-core cache load."""
-
-    d: np.ndarray
-
-
-def delay_matrix(geom: CoreGeometry, params: FabricParams, layout: np.ndarray) -> DelayMatrix:
+def delay_matrix(geom: CoreGeometry, params: FabricParams, layout: np.ndarray) -> np.ndarray:
+    """k x k qubit-transfer delays (us); the diagonal is the intra-core
+    cache load, the rest Manhattan distance times the unit hop delay."""
     k = layout.shape[0]
     beta = Fraction(params.beta_pmd)
     inter_unit = (geom.alpha_core + params.alpha_int) * beta
@@ -241,4 +245,4 @@ def delay_matrix(geom: CoreGeometry, params: FabricParams, layout: np.ndarray) -
             else:
                 steps = abs(int(layout[x, 0] - layout[y, 0])) + abs(int(layout[x, 1] - layout[y, 1]))
                 d[x, y] = float(steps * inter_unit)
-    return DelayMatrix(d)
+    return d

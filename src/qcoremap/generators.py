@@ -13,13 +13,13 @@ import numpy as np
 GATES_1Q = ("H", "S", "T", "Tdg", "X", "Y", "Z")
 
 
-def random_netlist(n_ops: int, n_qubits: int, seed: int = 0, p_cnot: float = 0.35) -> str:
-    """Flat random circuit over n_qubits; wrapped by the parser into one
-    implicit kernel."""
+def random_netlist(n_ops: int, n_qubits: int, seed: int = 0) -> str:
+    """Flat random circuit over n_qubits, about 35% CNOTs; wrapped by the
+    parser into one implicit kernel."""
     rng = np.random.default_rng(seed)
     lines = [f"qubit q{i}" for i in range(n_qubits)]
     for _ in range(n_ops):
-        if n_qubits >= 2 and rng.random() < p_cnot:
+        if n_qubits >= 2 and rng.random() < 0.35:
             a, b = rng.choice(n_qubits, size=2, replace=False)
             lines.append(f"CNOT q{a},q{b}")
         else:
@@ -53,24 +53,10 @@ def walk_step_netlist(n_qubits: int = 24, layers: int = 12, reps: int = 4, seed:
     return "\n".join(lines) + "\n"
 
 
-def phase_estimation_netlist(n_stages: int, body: tuple[str, ...] = ("H", "T", "CNOT"),
-                             n_qubits: int = 3) -> str:
-    """One kernel called with repetitions 1, 2, 4, ..., 2^(n_stages-1)."""
-    lines = [f"qubit q{i}" for i in range(n_qubits)]
-    lines.append(".kernel unit")
-    for g in body:
-        if g == "CNOT":
-            lines.append("CNOT q0,q1")
-        else:
-            lines.append(f"{g} q{n_qubits - 1}")
-    lines.append(".endkernel")
-    for s in range(n_stages):
-        lines.append(f".call unit x{2 ** s}")
-    return "\n".join(lines) + "\n"
-
-
-def parallel_ops_netlist(n_ops: int, kind: str = "H") -> str:
-    """n_ops independent single-qubit operations (one fully parallel level)."""
-    lines = [f"qubit q{i}" for i in range(n_ops)]
-    lines.extend(f"{kind} q{i}" for i in range(n_ops))
+def phase_estimation_netlist(n_stages: int) -> str:
+    """One kernel (H and T on q2, then CNOT q0,q1) called with repetitions
+    1, 2, 4, ..., 2^(n_stages-1)."""
+    lines = [f"qubit q{i}" for i in range(3)]
+    lines += [".kernel unit", "H q2", "T q2", "CNOT q0,q1", ".endkernel"]
+    lines.extend(f".call unit x{2 ** s}" for s in range(n_stages))
     return "\n".join(lines) + "\n"

@@ -15,7 +15,6 @@ pipeline only ever deals with kernels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from .errors import NetlistError
 
@@ -186,7 +185,7 @@ class _Parser:
         count = 1
         if len(parts) == 3:
             spec = parts[2]
-            if not spec.startswith("x") or not spec[1:].lstrip("-").isdigit():
+            if not spec.startswith("x") or not spec[1:].removeprefix("-").isdecimal():
                 self.error(f"bad repetition '{spec}' (expected x<count>)", lineno)
             count = int(spec[1:])
             if count < 1:
@@ -260,30 +259,3 @@ def identify_kernels(program: KernelProgram) -> KernelCatalog:
         (kid, rep_of[kid], count) for kid, count in program.sequence.stages
     )
     return KernelCatalog(representatives, rep_of, instances)
-
-
-def flat_expansion(program: KernelProgram) -> Iterator[tuple[str, tuple[int, ...]]]:
-    """Yield (kind, operand indices) for the fully unrolled program."""
-    for kid, count in program.sequence.stages:
-        body = program.kernels[kid].body
-        for _ in range(count):
-            for op in body:
-                yield op.kind, op.operands
-
-
-def flat_op_count(program: KernelProgram) -> int:
-    return sum(count * len(program.kernels[kid].body) for kid, count in program.sequence.stages)
-
-
-def serialize_program(program: KernelProgram) -> str:
-    """Render a program back to netlist text; reparsing gives an equal program."""
-    out = [f"qubit {q.name}" for q in program.qubits]
-    for kid, kernel in program.kernels.items():
-        out.append(f".kernel {kid}")
-        for op in kernel.body:
-            names = ",".join(program.qubits[i].name for i in op.operands)
-            out.append(f"{op.kind} {names}")
-        out.append(".endkernel")
-    for kid, count in program.sequence.stages:
-        out.append(f".call {kid} x{count}")
-    return "\n".join(out) + "\n"

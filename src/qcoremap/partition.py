@@ -163,10 +163,10 @@ class _Bisection:
         return sum(w for a, b, w in self.edges if side[a] != side[b])
 
     # ------------------------------------------------------------------
-    def refine(self, side: np.ndarray, max_passes=8) -> np.ndarray:
+    def refine(self, side: np.ndarray) -> np.ndarray:
         """Kernighan-Lin refinement: best feasible move or swap per step,
-        with locking, then rollback to the best prefix. Mutates and returns
-        `side`.
+        with locking, then rollback to the best prefix; at most 8 passes,
+        stopping after one that gains nothing. Mutates and returns `side`.
 
         Pool p < n_dims holds dimension p's nodes, pool n_dims the
         unconstrained ones. top[s][p] caches (gain, -index) of the best
@@ -219,7 +219,7 @@ class _Bisection:
                 top[sd][p] = max(((gain[i], -i) for i in pools[p] if s[i] == sd and not locked[i]),
                                  default=empty)
 
-        for _ in range(max_passes):
+        for _ in range(8):
             n1 = sum(s)
             cnt1 = [sum(1 for i in mem if s[i]) for mem in self.members]
             # per group: may a side-1 node leave, a side-0 node enter?

@@ -8,7 +8,7 @@ leveling and the critical path are single forward passes.
 
 Nodes are array-backed: node i is `ops[i]` (the kernel body itself), with
 its delay, ancilla count and level at index i of the node arrays. Edges stay
-`QodgEdge` tuples because `dump_dot` prints each edge's shared qubits, and
+`QodgEdge` tuples because `render_dot` prints each edge's shared qubits, and
 `preds`/`succs` stay tuples of tuples because leveling, the critical path
 and the scheduler walk them in Python loops, where tuple indexing is
 cheaper than numpy scalar access.
@@ -109,8 +109,8 @@ def critical_path(g: Qodg) -> float:
     return max(dist, default=0.0)
 
 
-def dump_dot(g: Qodg, path) -> None:
-    """Write the graph in DOT form (node: kind, level; edge: shared qubits)."""
+def render_dot(g: Qodg) -> str:
+    """The graph in DOT form (node: kind, level; edge: shared qubits)."""
     lines = [f'digraph "{g.kernel_id}" {{']
     for i, (op, lv) in enumerate(zip(g.ops, g.level.tolist())):
         lines.append(f'  n{i} [label="{i}:{op.kind}" kind="{op.kind}" level={lv}];')
@@ -118,9 +118,4 @@ def dump_dot(g: Qodg, path) -> None:
         qs = ",".join(str(q) for q in sorted(e.shared_qubits))
         lines.append(f'  n{e.src} -> n{e.dst} [qubits="{qs}"];')
     lines.append("}")
-    text = "\n".join(lines) + "\n"
-    if hasattr(path, "write"):
-        path.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    return "\n".join(lines) + "\n"

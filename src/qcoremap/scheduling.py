@@ -36,7 +36,6 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigError
-from .fabric import DelayMatrix
 from .partition import Partition
 from .binding import Binding
 from .qodg import Qodg
@@ -47,8 +46,8 @@ class ScheduleConfig:
     cycle_time: float = 1.0     # us per scheduling level
 
     def __post_init__(self):
-        if self.cycle_time <= 0:
-            raise ConfigError("cycle time must be positive")
+        if not math.isfinite(self.cycle_time) or self.cycle_time <= 0:
+            raise ConfigError("cycle time must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -64,11 +63,12 @@ def _decimal(us: float) -> Fraction:
     return Fraction(repr(float(us)))
 
 
-def quantize(g: Qodg, dmat: DelayMatrix, cfg: ScheduleConfig) -> LevelizedDurations:
-    """Convert microsecond delays to integer level counts."""
+def quantize(g: Qodg, dmat: np.ndarray, cfg: ScheduleConfig) -> LevelizedDurations:
+    """Convert microsecond node delays and k x k routing delays to integer
+    level counts."""
     cyc = _decimal(cfg.cycle_time)
     delays = g.delay_us.tolist()
-    d = dmat.d.tolist()
+    d = dmat.tolist()
     levels = {v: math.ceil(_decimal(v) / cyc) for v in set(delays).union(*d)}
     dur = np.array([levels[v] for v in delays], dtype=np.int64)
     route = np.array([[levels[v] for v in row] for row in d], dtype=np.int64)
@@ -145,11 +145,12 @@ def _schedule_impl(order, dur, anc, core, preds, route, n_cores, budget):
     return start
 
 
-def _priorities(g: Qodg, dur: np.ndarray) -> np.ndarray:
-    prio = dur.copy()
-    for u in range(len(g) - 1, -1, -1):
+def _priorities(succs, dur: list[int]) -> list[int]:
+    """Longest duration path from each node to any sink, itself included."""
+    prio = list(dur)
+    for u in range(len(dur) - 1, -1, -1):
         best = 0
-        for v in g.succs[u]:
+        for v in succs[u]:
             if prio[v] > best:
                 best = prio[v]
         prio[u] = dur[u] + best
@@ -170,13 +171,11 @@ def list_schedule(g: Qodg, partition: Partition, binding: Binding,
     if n == 0:
         return MappedSchedule((), 0, 0.0)
 
-    prio = _priorities(g, lev.dur_levels)
-    seq = np.arange(n, dtype=np.int64)
-    order = np.lexsort((seq, -prio))
-
     dur = lev.dur_levels.tolist()
+    # highest priority first; the sort is stable, so ties go to the lower index
+    order = sorted(range(n), key=_priorities(g.succs, dur).__getitem__, reverse=True)
     start = _schedule_impl(
-        order.tolist(), dur, anc.tolist(), core, g.preds,
+        order, dur, anc.tolist(), core, g.preds,
         lev.route_levels.tolist(), len(binding.part_to_core), budget_per_core,
     )
     ops = tuple(

@@ -49,6 +49,36 @@ def interpret_netlist(text: str) -> list[tuple[str, tuple[str, ...]]]:
 
 
 # ----------------------------------------------------------------------
+# parser oracles: a parsed program unrolled, counted, and written back
+
+def flat_expansion(program):
+    """Yield (kind, operand indices) for the fully unrolled program."""
+    for kid, count in program.sequence.stages:
+        body = program.kernels[kid].body
+        for _ in range(count):
+            for op in body:
+                yield op.kind, op.operands
+
+
+def flat_op_count(program) -> int:
+    return sum(count * len(program.kernels[kid].body) for kid, count in program.sequence.stages)
+
+
+def serialize_program(program) -> str:
+    """Render a program back to netlist text; reparsing gives an equal program."""
+    out = [f"qubit {q.name}" for q in program.qubits]
+    for kid, kernel in program.kernels.items():
+        out.append(f".kernel {kid}")
+        for op in kernel.body:
+            names = ",".join(program.qubits[i].name for i in op.operands)
+            out.append(f"{op.kind} {names}")
+        out.append(".endkernel")
+    for kid, count in program.sequence.stages:
+        out.append(f".call {kid} x{count}")
+    return "\n".join(out) + "\n"
+
+
+# ----------------------------------------------------------------------
 # dependency edges by O(n^2) pairwise scan
 
 def dependency_edges(ops: list[tuple[str, tuple[int, ...]]]) -> dict[tuple[int, int], set[int]]:

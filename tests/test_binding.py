@@ -9,7 +9,7 @@ from qcoremap import FabricParams, bind_parts, binding_cost, compute_geometry, d
 def _mesh_delays(steane, k):
     """A real fabric delay matrix: symmetric, so many assignments tie."""
     params = FabricParams(k, 200 * k)
-    return delay_matrix(compute_geometry(steane, params, 4), params, grid_layout(k)).d
+    return delay_matrix(compute_geometry(steane, params, 4), params, grid_layout(k))
 
 
 @pytest.mark.parametrize("k", range(1, 7))

@@ -1,7 +1,12 @@
+from importlib import resources
+
 import pytest
 
 from qcoremap.cli import main
 from qcoremap.generators import walk_step_netlist
+
+
+STEANE_TEXT = resources.files("qcoremap").joinpath("profiles/steane.qec").read_text(encoding="utf-8")
 
 
 @pytest.fixture
@@ -46,3 +51,54 @@ def test_netlist_syntax_error_exits_three(tmp_path, capsys):
     bad.write_text("qubit a\nFOO a\n", encoding="utf-8")
     assert main(["map", str(bad), "--qec", "steane", "-k", "1", "-A", "100"]) == 3
     assert "parse error: line 2" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# malformed numbers and arguments end in a one-line message, not a traceback
+
+def _assert_one_line(err, prefix):
+    assert err.startswith(prefix), err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("old,new", [
+    ("op H    ancilla 28 ", "op H    ancilla x "),
+    ("length 7", "length seven"),
+    ("op T    ancilla 100 delay_us 400", "op T    ancilla 100 delay_us nan"),
+], ids=["ancilla-x", "length-seven", "delay-nan"])
+def test_malformed_profile_number_exits_two(netlist, tmp_path, capsys, old, new):
+    assert old in STEANE_TEXT
+    qec = tmp_path / "bad.qec"
+    qec.write_text(STEANE_TEXT.replace(old, new), encoding="utf-8")
+    assert main(["map", netlist, "--qec", str(qec), "-k", "2", "-A", "400"]) == 2
+    _assert_one_line(capsys.readouterr().err, "configuration error: profile line ")
+
+
+@pytest.mark.parametrize("option,value", [
+    ("--cycle-time", "nan"),
+    ("--cycle-time", "inf"),
+    ("--beta-pmd", "inf"),
+    ("--gamma-mem", "nan"),
+])
+def test_non_finite_option_exits_two(netlist, capsys, option, value):
+    assert main(["map", netlist, "--qec", "steane", "-k", "2", "-A", "400", option, value]) == 2
+    _assert_one_line(capsys.readouterr().err, "configuration error: ")
+
+
+def test_non_integer_core_count_in_k_list_exits_two(netlist, capsys):
+    assert main(["sweep-cores", netlist, "--qec", "steane", "-A", "800", "--k-list", "1,a"]) == 2
+    _assert_one_line(capsys.readouterr().err, "configuration error: ")
+
+
+def test_zero_budget_step_exits_two(netlist, capsys):
+    argv = ["sweep-budget", netlist, "--qec", "steane", "-k", "2",
+            "--from", "200", "--to", "400", "--step", "0"]
+    assert main(argv) == 2
+    _assert_one_line(capsys.readouterr().err, "configuration error: ")
+
+
+def test_repetition_with_two_minus_signs_exits_three(tmp_path, capsys):
+    bad = tmp_path / "bad.qn"
+    bad.write_text("qubit a\n.kernel K\nH a\n.endkernel\n.call K x--5\n", encoding="utf-8")
+    assert main(["map", str(bad), "--qec", "steane", "-k", "1", "-A", "100"]) == 3
+    _assert_one_line(capsys.readouterr().err, "parse error: line 5: ")

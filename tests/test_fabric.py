@@ -1,4 +1,4 @@
-import io
+import math
 
 import numpy as np
 import pytest
@@ -52,6 +52,28 @@ def test_profile_parser_rejects_bad_lines():
         load_qec_profile("code x length 7\nwhat H\n")
 
 
+@pytest.mark.parametrize("line,message", [
+    ("code x length seven", "line 1: 'seven' is not an integer"),
+    ("op T ancilla x delay_us 400 transversal 0", "line 2: 'x' is not an integer"),
+    ("op T ancilla 2.5 delay_us 400 transversal 0", "line 2: '2.5' is not an integer"),
+    ("op T ancilla 100 delay_us nan transversal 0", "line 2: ancilla and delay must be"),
+    ("op T ancilla 100 delay_us inf transversal 0", "line 2: ancilla and delay must be"),
+])
+def test_profile_number_fields_fail_with_their_line(line, message):
+    rows = ["code x length 7", "op T ancilla 100 delay_us 400 transversal 0",
+            "op H ancilla 28 delay_us 40 transversal 1"]
+    rows[0 if line.startswith("code") else 1] = line
+    with pytest.raises(ConfigError, match=f"^profile {message}"):
+        load_qec_profile("\n".join(rows) + "\n")
+
+
+@pytest.mark.parametrize("field", ["beta_pmd", "gamma_mem"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_fabric_params_reject_non_finite_constants(field, value):
+    with pytest.raises(ConfigError, match="must be finite"):
+        FabricParams(2, 400, **{field: value})
+
+
 def test_profile_without_nontransversal_warns():
     text = "code x length 7\nop H ancilla 28 delay_us 40 transversal 1\n"
     with pytest.warns(UserWarning):
@@ -89,11 +111,11 @@ def test_headline_geometry(steane):
     params = FabricParams(4, 800)
     geo = compute_geometry(steane, params, 50)
     assert (geo.alpha_compute, geo.alpha_core, geo.alpha_cache, geo.alpha_mem) == HEADLINE_ALPHAS
-    dm = delay_matrix(geo, params, grid_layout(4))
-    assert dm.d[0, 1] == 270.0   # adjacent in the 2x2 grid
-    assert dm.d[0, 3] == 540.0   # diagonal
-    assert dm.d[0, 0] == 96.0    # intra-core cache load
-    assert np.allclose(dm.d, dm.d.T)
+    d = delay_matrix(geo, params, grid_layout(4))
+    assert d[0, 1] == 270.0   # adjacent in the 2x2 grid
+    assert d[0, 3] == 540.0   # diagonal
+    assert d[0, 0] == 96.0    # intra-core cache load
+    assert np.allclose(d, d.T)
 
 
 def test_geometry_degenerate_dmax_zero(steane):
@@ -161,11 +183,11 @@ def test_inter_core_delay_linear_in_distance(steane):
     params = FabricParams(9, 8100)
     geo = compute_geometry(steane, params, 10)
     layout = grid_layout(9)
-    dm = delay_matrix(geo, params, layout)
-    unit = dm.d[0, 1]
+    d = delay_matrix(geo, params, layout)
+    unit = d[0, 1]
     for a in range(9):
         for b in range(9):
             if a != b:
                 steps = abs(int(layout[a, 0] - layout[b, 0])) + \
                     abs(int(layout[a, 1] - layout[b, 1]))
-                assert dm.d[a, b] == steps * unit
+                assert d[a, b] == steps * unit

@@ -7,7 +7,6 @@ level and every latency. A refactor that changes any of them fails here. The swe
 without their runtime_ms column, the one field that is not an answer.
 """
 
-import io
 from pathlib import Path
 
 import pytest
@@ -16,13 +15,13 @@ from qcoremap import (
     FabricParams,
     ScheduleConfig,
     bundled_profile,
-    dump_dot,
     map_program,
     parse_program,
+    render_dot,
     render_report,
+    render_sweep_csv,
     sweep_budget,
     sweep_cores,
-    write_sweep_csv,
 )
 from qcoremap.generators import phase_estimation_netlist, random_netlist, walk_step_netlist
 
@@ -39,17 +38,12 @@ def _report(*args):
 
 
 def _dot(*args):
-    """dump_dot of every mapped kernel's graph, in kernel id order."""
-    buf = io.StringIO()
-    for _, km in sorted(_map(*args).kernel_maps.items()):
-        dump_dot(km.qodg, buf)
-    return buf.getvalue()
+    """render_dot of every mapped kernel's graph, in kernel id order."""
+    return "".join(render_dot(km.qodg) for _, km in sorted(_map(*args).kernel_maps.items()))
 
 
 def _csv(result):
-    buf = io.StringIO()
-    write_sweep_csv(result, buf)
-    return "".join(line.rsplit(",", 1)[0] + "\n" for line in buf.getvalue().splitlines())
+    return "".join(line.rsplit(",", 1)[0] + "\n" for line in render_sweep_csv(result).splitlines())
 
 
 def _budget_sweep():

@@ -2,16 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import ops_to_netlist, random_ops
-from oracles import interpret_netlist
+from oracles import flat_expansion, flat_op_count, interpret_netlist, serialize_program
 
-from qcoremap import (
-    NetlistError,
-    flat_expansion,
-    flat_op_count,
-    identify_kernels,
-    parse_program,
-    serialize_program,
-)
+from qcoremap import NetlistError, identify_kernels, parse_program
 from qcoremap.generators import phase_estimation_netlist, random_netlist
 
 
@@ -42,6 +35,9 @@ def test_call_default_count_is_one():
     ("qubit a\nFOO a\n", "unknown gate"),
     ("H q\n", "undeclared"),
     ("qubit a\n.kernel K\nH a\n.endkernel\n.call K x0\n", ">= 1"),
+    ("qubit a\n.kernel K\nH a\n.endkernel\n.call K x-3\n", "count must be >= 1, got -3"),
+    ("qubit a\n.kernel K\nH a\n.endkernel\n.call K x--5\n", "line 5: bad repetition 'x--5'"),
+    ("qubit a\n.kernel K\nH a\n.endkernel\n.call K x\u00b2\n", "line 5: bad repetition"),
     ("qubit a\n.kernel K\nH a\n.endkernel\n.call J\n", "undefined"),
     ("qubit a\n.kernel K\n.kernel L\n", "nested"),
     (".endkernel\n", "without matching"),

@@ -1,4 +1,3 @@
-import io
 from dataclasses import replace
 
 import numpy as np
@@ -14,9 +13,9 @@ from qcoremap import (
     assign_weight_vectors,
     build_qodg,
     critical_path,
-    dump_dot,
     level_graph,
     parse_program,
+    render_dot,
 )
 from qcoremap.fabric import OpCost, QecProfile
 
@@ -175,9 +174,7 @@ def test_critical_path_matches_enumeration(uniform_profile):
 
 def test_dot_dump(uniform_profile):
     g = three_op_kernel(uniform_profile)
-    buf = io.StringIO()
-    dump_dot(g, buf)
-    text = buf.getvalue()
+    text = render_dot(g)
     assert "digraph" in text
     assert 'n0 -> n1 [qubits="1"];' in text
     assert "level=1" in text
@@ -185,6 +182,4 @@ def test_dot_dump(uniform_profile):
 
 def test_dot_dump_of_unleveled_graph(uniform_profile):
     _, k = single_kernel("qubit a\nqubit b\nCNOT a,b\nH a\n")
-    buf = io.StringIO()
-    dump_dot(build_qodg(k, uniform_profile), buf)
-    assert buf.getvalue().count("level=-1") == 2
+    assert render_dot(build_qodg(k, uniform_profile)).count("level=-1") == 2

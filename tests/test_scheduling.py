@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ from conftest import ops_to_netlist, random_ops
 from oracles import levelwise_reference, optimal_makespan
 
 from qcoremap import (
-    DelayMatrix,
+    ConfigError,
     FabricParams,
     ScheduleConfig,
     build_qodg,
@@ -33,8 +34,7 @@ def _one_op_graph(delay_us):
 
 
 def _levels(delay_us, cycle_time):
-    dmat = DelayMatrix(np.array([[delay_us]]))
-    lev = quantize(_one_op_graph(delay_us), dmat, ScheduleConfig(cycle_time))
+    lev = quantize(_one_op_graph(delay_us), np.array([[delay_us]]), ScheduleConfig(cycle_time))
     return int(lev.dur_levels[0]), int(lev.route_levels[0, 0])
 
 
@@ -49,6 +49,12 @@ def test_quantize_grid_of_fractional_cycles(cycle_tenths):
     for tenths in range(1, 61):
         want = -(-tenths // cycle_tenths)
         assert _levels(tenths / 10, cycle) == (want, want), (tenths / 10, cycle)
+
+
+@pytest.mark.parametrize("cycle", [math.nan, math.inf])
+def test_schedule_config_rejects_a_non_finite_cycle(cycle):
+    with pytest.raises(ConfigError, match="cycle time must be positive and finite"):
+        ScheduleConfig(cycle)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -89,7 +95,7 @@ def _bound_schedule(seed, k, cycle, zero_delay_kind=None):
     g = level_graph(build_qodg(parse_program(text).kernels["_top0"], profile))
     part = Partition(rng.integers(0, k, size=len(g)), k, np.zeros((k, k), dtype=np.int64))
     binding = Binding(tuple(int(c) for c in rng.permutation(k)), 0.0, True)
-    dmat = DelayMatrix(rng.choice(_DELAYS_US, size=(k, k)))
+    dmat = rng.choice(_DELAYS_US, size=(k, k))
     lev = quantize(g, dmat, ScheduleConfig(cycle))
     budget = int(g.ancilla.max())
     core = [binding.part_to_core[int(p)] for p in part.assignment]
@@ -127,8 +133,7 @@ def test_zero_level_op_between_two_ops():
                                QecProfile("zero", 7, rows)))
     part = Partition(np.zeros(3, dtype=np.int64), 1, np.zeros((1, 1), dtype=np.int64))
     binding = Binding((0,), 0.0, True)
-    dmat = DelayMatrix(np.array([[1.0]]))
-    lev = quantize(g, dmat, ScheduleConfig(1.0))
+    lev = quantize(g, np.array([[1.0]]), ScheduleConfig(1.0))
     sched = list_schedule(g, part, binding, 9, lev)
     # T at 1-2, lag 1, H at 4 with no levels, lag 1, T at 5-6
     assert [(op.start, op.dur_levels) for op in sched.ops] == [(1, 2), (4, 0), (5, 2)]
@@ -211,7 +216,7 @@ def test_verifier_reports_an_op_not_in_the_graph(uniform_profile):
                                uniform_profile))
     part = Partition(np.zeros(2, dtype=np.int64), 1, np.zeros((1, 1), dtype=np.int64))
     binding = Binding((0,), 0.0, True)
-    lev = quantize(g, DelayMatrix(np.array([[1.0]])), ScheduleConfig(1.0))
+    lev = quantize(g, np.array([[1.0]]), ScheduleConfig(1.0))
     sched = list_schedule(g, part, binding, 10, lev)
     assert len(sched.ops) == 2
     for node in (5, -1):
