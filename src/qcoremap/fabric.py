@@ -13,6 +13,7 @@ suffer float rounding at integer boundaries.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -227,6 +228,9 @@ def grid_layout(k: int) -> np.ndarray:
     return np.array([(i // cols, i % cols) for i in range(k)], dtype=np.int64)
 
 
+_FLOAT_MAX = Fraction(sys.float_info.max)
+
+
 def delay_matrix(geom: CoreGeometry, params: FabricParams, layout: np.ndarray) -> np.ndarray:
     """k x k qubit-transfer delays (us); the diagonal is the intra-core
     cache load, the rest Manhattan distance times the unit hop delay."""
@@ -237,6 +241,10 @@ def delay_matrix(geom: CoreGeometry, params: FabricParams, layout: np.ndarray) -
         (geom.alpha_compute + geom.alpha_cache + Fraction(params.gamma_mem) * geom.alpha_mem)
         / 2 * beta
     )
+    hops = int(np.ptp(layout[:, 0]) + np.ptp(layout[:, 1]))
+    if max(intra, hops * inter_unit) > _FLOAT_MAX:
+        raise ConfigError("routing delays exceed the largest float; "
+                          "beta_pmd, alpha_int or gamma_mem is too large")
     d = np.empty((k, k), dtype=np.float64)
     for x in range(k):
         for y in range(k):

@@ -13,10 +13,14 @@ exactly the traffic the binder later pays for.
 
 Refinement keeps, per dimension pool and side, the best unlocked node by
 (gain, lowest index) across steps, in the spirit of Fiduccia-Mattheyses
-gain buckets, and re-derives only what a step changed. It makes exactly
-the move or swap that a full rescan of every node and pool would make, so
-partitions do not depend on this bookkeeping; `tests/oracles.py` keeps the
-full rescan as the reference.
+gain buckets. A step rescans a group only on the side a moved node left
+and only when that node, or a neighbour that lost gain, was the group's
+top; lazy heaps over these tops give the best feasible move and the pools
+worth searching for swaps, so a step costs time in proportion to what it
+changed, not to the number of pools. It makes exactly the move or swap
+that a full rescan of every node and pool would make, so partitions do not
+depend on this bookkeeping; `tests/oracles.py` keeps the full rescan as
+the reference.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from heapq import heappop, heappush
 
 import numpy as np
 
@@ -112,6 +116,9 @@ class _Bisection:
         self.edges = [(loc[a], loc[b], w) for a, b, w in edge_list
                       if a in loc and b in loc]
         self.w_between = edge_w_between
+        # qubits shared by each local pair (i, j), i < j, as Python ints
+        self.pair_w = {(loc[a], loc[b]): w for (a, b), w in edge_w_between.items()
+                       if a in loc and b in loc}
         # relabel the dimensions present here to 0..D-1 for list indexing
         dims_global = sorted({d for d in global_dim if d >= 0})
         remap = {c: j for j, c in enumerate(dims_global)}
@@ -169,32 +176,38 @@ class _Bisection:
         stopping after one that gains nothing. Mutates and returns `side`.
 
         Pool p < n_dims holds dimension p's nodes, pool n_dims the
-        unconstrained ones. top[s][p] caches (gain, -index) of the best
-        unlocked node of pool p on side s. A step changes only the gains of
-        the nodes it flips and of their neighbours, so it rescans the
-        flipped nodes' pools and the pools whose top was a neighbour; any
-        other neighbour can only overtake its pool's top. A move's
-        feasibility depends only on its (side, pool) group, so the best
-        move is the best top among feasible groups. A swap stays within a
-        pool and keeps every balance; a pool is searched, by the sorted
-        scan pruned with the bound g(i) + g(j), only if its two tops can
-        beat the best so far. Each step is the one a full rescan would
-        pick: a move wins a tie with a swap, the lowest index wins among
-        moves, pools are searched in order, and a swap must be strictly
-        better to replace the best.
+        unconstrained ones. top[s][p] is (-gain, index) of the best unlocked
+        node of pool p on side s, exact after every step. A step changes
+        only the gains of the nodes it flips and of their neighbours: a
+        group is rescanned only when the flipped node left it as its top,
+        or its top is a neighbour whose gain fell; any other neighbour can
+        only overtake its group's top. A move's feasibility depends only on
+        its (side, pool) group, so the best move is the best top among
+        feasible groups, kept in one lazy heap per side: an entry is pushed
+        when a top changes or its group turns feasible again, and a stale
+        or infeasible entry is popped when it reaches the front. A swap
+        stays within a pool and keeps every balance; a lazy heap of the
+        pools' bounds t0 + t1 yields the pools whose tops could beat the
+        best move, and each is searched in order: its two tops if they
+        share no edge, otherwise by the sorted scan pruned with the bound
+        g(i) + g(j). Each step is the one a full rescan would pick: a move
+        wins a tie with a swap, the lowest index wins among moves, pools
+        are searched in order, and a swap must be strictly better to
+        replace the best.
         """
         m = self.m
         if m == 0:
             return side
         step_cap = m
         stall_cap = m if m <= 96 else max(48, m // 4)
-        n_dims, dim, adj, d_lo, d_hi = self.n_dims, self.dim, self.adj, self.d_lo, self.d_hi
+        n_dims, dim, adj, d_lo, d_hi, pair_w = (
+            self.n_dims, self.dim, self.adj, self.d_lo, self.d_hi, self.pair_w)
         pools = self.members + [self.unconstrained]
         pool_of = [c if c >= 0 else n_dims for c in dim]
-        swap_pools = list(range(n_dims))
-        if 0 < len(self.unconstrained) ** 2 <= 4096:
-            swap_pools.append(n_dims)
-        empty = (-math.inf, 1)  # below, and unequal to, every (gain, -index)
+        # pools p < n_swap are searched for swaps: the unconstrained one too
+        # when it is small
+        n_swap = n_dims + 1 if 0 < len(self.unconstrained) ** 2 <= 4096 else n_dims
+        empty = (math.inf, -1)  # after every (-gain, index)
         s = side.tolist()
         gain = [0] * m          # external minus internal edge weight
         for a, b, w in self.edges:
@@ -209,15 +222,28 @@ class _Bisection:
                 gain[j] += -2 * w if s[j] == si else 2 * w
 
         def w_direct(i, j):
-            a, b = self.nodes[i], self.nodes[j]
-            if a > b:
-                a, b = b, a
-            return self.w_between.get((int(a), int(b)), 0)
+            return pair_w.get((i, j) if i < j else (j, i), 0)
 
-        def rescan(p):
-            for sd in (0, 1):
-                top[sd][p] = max(((gain[i], -i) for i in pools[p] if s[i] == sd and not locked[i]),
-                                 default=empty)
+        def front(sd, can):
+            """The heap entry of the best top among side sd's feasible groups."""
+            h = heaps[sd]
+            while h:
+                t = h[0]
+                p = pool_of[t[1]]
+                if can[p] and top[sd][p] == t:
+                    return t
+                heappop(h)
+            return empty
+
+        def push(sd, p):
+            t = top[sd][p]
+            if t[1] >= 0:
+                heappush(heaps[sd], t)
+
+        def push_pair(p):
+            b = top[0][p][0] + top[1][p][0]
+            if b < math.inf:
+                heappush(pair_heap, (b, p))
 
         for _ in range(8):
             n1 = sum(s)
@@ -227,8 +253,16 @@ class _Bisection:
             can0 = [cnt1[c] + 1 <= d_hi[c] for c in range(n_dims)] + [True]
             locked = [False] * m
             top = [[empty] * (n_dims + 1), [empty] * (n_dims + 1)]
+            for i in range(m):
+                row, p, t = top[s[i]], pool_of[i], (-gain[i], i)
+                if t < row[p]:
+                    row[p] = t
+            heaps, pair_heap = [[], []], []
             for p in range(n_dims + 1):
-                rescan(p)
+                push(0, p)
+                push(1, p)
+                if p < n_swap:
+                    push_pair(p)
             trail: list[tuple[int, int]] = []
             cum = best_cum = 0
             best_len = 0
@@ -236,13 +270,26 @@ class _Bisection:
             for _step in range(step_cap):
                 key = empty
                 if n1 - 1 >= self.n_lo:
-                    key = max(compress(top[1], can1), default=empty)
+                    key = front(1, can1)
                 if n1 + 1 <= self.n_hi:
-                    key = max(key, max(compress(top[0], can0), default=empty))
-                best = (key[0], 0, -key[1], -1) if key > empty else None
+                    key = min(key, front(0, can0))
+                best = (-key[0], 0, key[1], -1) if key[1] >= 0 else None
                 bound = best[0] if best else -math.inf
-                # a pool whose tops fail the bound breaks out at its first pair
-                for p in [p for p, t0, t1 in zip(swap_pools, *top) if t0[0] + t1[0] > bound]:
+                # the pools whose tops can beat the best move, in order
+                entered = set()
+                while pair_heap and -pair_heap[0][0] > bound:
+                    b, p = heappop(pair_heap)
+                    if top[0][p][0] + top[1][p][0] == b:
+                        entered.add(p)
+                for p in sorted(entered):
+                    push_pair(p)
+                    i, j = top[1][p][1], top[0][p][1]
+                    if not w_direct(i, j):
+                        # no pair of this pool can beat its two tops
+                        if best is None or gain[i] + gain[j] > best[0]:
+                            best = (gain[i] + gain[j], 1, i, j)
+                        continue
+                    # a pool whose tops fail the best breaks out at its first pair
                     ones = sorted((i for i in pools[p] if s[i] and not locked[i]),
                                   key=lambda i: (-gain[i], i))
                     twos = sorted((i for i in pools[p] if not s[i] and not locked[i]),
@@ -268,23 +315,38 @@ class _Bisection:
                     c = dim[i]
                     if c >= 0:
                         cnt1[c] += delta
-                        can1[c] = cnt1[c] - 1 >= d_lo[c]
-                        can0[c] = cnt1[c] + 1 <= d_hi[c]
+                        on1, on0 = cnt1[c] - 1 >= d_lo[c], cnt1[c] + 1 <= d_hi[c]
+                        if on1 and not can1[c]:
+                            push(1, c)
+                        if on0 and not can0[c]:
+                            push(0, c)
+                        can1[c], can0[c] = on1, on0
+                # rescan the groups a moved node left as their top and those
+                # whose top is a neighbour that lost gain, found before any
+                # top changes; other touched nodes can only overtake a top
+                dirty = {(s[u], pool_of[u]) for u in moved if top[s[u]][pool_of[u]][1] == u}
                 for u in moved:
                     flip(u)
                     locked[u] = True
                 trail.append((i, j))
-                # rescan the moved nodes' pools and pools whose top changed
-                # gain; elsewhere only a touched node can overtake the top
-                touched = {v for u in moved for v, _ in adj[u]} - set(moved)
-                dirty = {pool_of[u] for u in moved}
-                dirty.update(pool_of[u] for u in touched if top[s[u]][pool_of[u]][1] == -u)
-                for u in touched:
-                    p = pool_of[u]
-                    if p not in dirty and not locked[u] and (gain[u], -u) > top[s[u]][p]:
-                        top[s[u]][p] = (gain[u], -u)
-                for p in dirty:
-                    rescan(p)
+                touched = [v for v in {v for u in moved for v, _ in adj[u]} if not locked[v]]
+                for v in touched:
+                    t = top[s[v]][pool_of[v]]
+                    if t[1] == v and -gain[v] > t[0]:
+                        dirty.add((s[v], pool_of[v]))
+                changed = set(dirty)
+                for v in touched:
+                    sd, p = s[v], pool_of[v]
+                    if (sd, p) not in dirty and (-gain[v], v) < top[sd][p]:
+                        top[sd][p] = (-gain[v], v)
+                        changed.add((sd, p))
+                for sd, p in dirty:
+                    top[sd][p] = min(((-gain[v], v) for v in pools[p]
+                                      if s[v] == sd and not locked[v]), default=empty)
+                for sd, p in changed:
+                    push(sd, p)
+                for p in {p for _, p in changed if p < n_swap}:
+                    push_pair(p)
                 cum += g
                 if cum > best_cum:
                     best_cum = cum

@@ -57,6 +57,10 @@ class LevelizedDurations:
     cycle_time: float
 
 
+# level counts, start levels and ends are stored as int64
+_LEVEL_LIMIT = 2**63 - 1
+
+
 def _decimal(us: float) -> Fraction:
     """The decimal a float prints as, exactly: 0.3 is 3/10, not the nearest
     binary fraction (which is slightly below it)."""
@@ -70,6 +74,10 @@ def quantize(g: Qodg, dmat: np.ndarray, cfg: ScheduleConfig) -> LevelizedDuratio
     delays = g.delay_us.tolist()
     d = dmat.tolist()
     levels = {v: math.ceil(_decimal(v) / cyc) for v in set(delays).union(*d)}
+    longest = max(levels)  # the longest delay takes the most levels
+    if levels[longest] > _LEVEL_LIMIT:
+        raise ConfigError(f"a delay of {longest:g} us at cycle time {cfg.cycle_time:g} us "
+                          "exceeds 2**63 - 1 levels")
     dur = np.array([levels[v] for v in delays], dtype=np.int64)
     route = np.array([[levels[v] for v in row] for row in d], dtype=np.int64)
     return LevelizedDurations(dur, route, cfg.cycle_time)
@@ -183,6 +191,9 @@ def list_schedule(g: Qodg, partition: Partition, binding: Binding,
         for i, (op, c, s, d) in enumerate(zip(g.ops, core, start, dur))
     )
     makespan = max(op.start + op.dur_levels - 1 for op in ops)
+    if makespan >= _LEVEL_LIMIT:
+        raise ConfigError(f"the schedule at cycle time {lev.cycle_time:g} us "
+                          "ends beyond 2**63 - 2 levels")
     return MappedSchedule(ops, makespan, makespan * lev.cycle_time)
 
 

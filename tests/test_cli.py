@@ -102,3 +102,16 @@ def test_repetition_with_two_minus_signs_exits_three(tmp_path, capsys):
     bad.write_text("qubit a\n.kernel K\nH a\n.endkernel\n.call K x--5\n", encoding="utf-8")
     assert main(["map", str(bad), "--qec", "steane", "-k", "1", "-A", "100"]) == 3
     _assert_one_line(capsys.readouterr().err, "parse error: line 5: ")
+
+
+@pytest.mark.parametrize("option,value", [
+    ("--beta-pmd", "1e300"),
+    ("--cycle-time", "1e-300"),
+    ("--alpha-int", "1" + "0" * 399),
+    ("--cycle-time", "1e-16"),
+], ids=["beta-1e300", "cycle-1e-300", "alpha-400-digits", "cycle-1e-16"])
+def test_huge_finite_option_exits_two(netlist, capsys, option, value):
+    # level counts or delays past int64 or float range, and at 1e-16 us a
+    # schedule whose end no int64 level holds
+    assert main(["map", netlist, "--qec", "steane", "-k", "2", "-A", "400", option, value]) == 2
+    _assert_one_line(capsys.readouterr().err, "configuration error: ")

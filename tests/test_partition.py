@@ -22,6 +22,7 @@ from qcoremap import (
     level_graph,
     parse_program,
 )
+from qcoremap import partition
 from qcoremap.generators import random_netlist, walk_step_netlist
 from qcoremap.partition import _Bisection, _bound_pair
 
@@ -86,6 +87,66 @@ def test_refine_equals_full_rescan_on_unconstrained_pools(seed, m, p_free, swaps
     assert (0 < len(bis.unconstrained) <= 64) == swaps_searched
     assert bis.n_dims == 0 or p_free < 1
     _assert_replays(bis, rng)
+
+
+def _kway_bisections(g, k):
+    """The _Bisection objects kway_partition(g, k) builds, in build order:
+    the top-level split first, then its first half."""
+    built = []
+
+    class Recording(_Bisection):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(partition, "_Bisection", Recording)
+        kway_partition(g, k)
+    return built
+
+
+@pytest.mark.parametrize("seed", [14, 15])
+def test_refine_equals_full_rescan_at_corpus_scale(seed):
+    # the first two map-random inputs of benchmark seed 1: 500 ops, 44 pools
+    g = level_graph(build_qodg(parse_program(random_netlist(500, 32, seed)).kernels["_top0"],
+                               bundled_profile("steane")))
+    top, half = _kway_bisections(g, 4)[:2]
+    assert (top.m, top.k1, top.k2) == (500, 2, 2) and (half.k1, half.k2) == (1, 1)
+    assert top.n_dims > 40 and half.n_dims > 40
+    rng = np.random.default_rng(seed)
+    for bis in (top, half):
+        _assert_replays(bis, rng)
+
+
+def _hand_bisection(node_dim, edges, dim_lo, dim_hi, node_hi):
+    """A k1 = k2 = 1 _Bisection over nodes 0..m-1 with the given quotas."""
+    w_between = {}
+    for a, b, w in edges:
+        w_between[(a, b)] = w_between.get((a, b), 0) + w
+    return _Bisection(np.arange(len(node_dim)), np.array(node_dim), edges, w_between,
+                      1, 1, dim_lo, dim_hi, node_hi)
+
+
+def test_refine_runs_the_sorted_scan_when_the_pool_tops_share_an_edge():
+    # one dimension held at two nodes per side, so only swaps are legal. The
+    # tops 0 and 2 share an edge of 3: swapping them gains 3 + 3 - 6 = 0,
+    # while (0, 3) gains 5 and ends with a cut of 0
+    bis = _hand_bisection([0, 0, 0, 0], [(0, 2, 3), (1, 3, 2)], {0: 2}, {0: 2}, 4)
+    side = np.array([True, True, False, False])
+    assert reference_refine(bis, side.copy()).tolist() == [False, True, False, True]
+    assert bis.refine(side).tolist() == [False, True, False, True]
+
+
+def test_refine_reenters_a_group_whose_moves_turn_feasible_again():
+    # dimension 0 = {0, 3, 5} keeps 1..2 nodes on side 1. Moving 5 to side 0
+    # forbids side-1 moves of the dimension, and the next step's search drops
+    # the group's top, node 3; moving 0 to side 1 allows them again, and the
+    # third step must move node 3
+    bis = _hand_bisection([0, -1, -1, 0, -1, 0], [(2, 5, 1), (2, 4, 1), (1, 4, 3)],
+                          {0: 1}, {0: 3}, 4)
+    side = np.array([False, True, False, True, True, True])
+    assert reference_refine(bis, side.copy()).tolist() == [False, True, False, True, True, False]
+    assert bis.refine(side).tolist() == [False, True, False, True, True, False]
 
 
 def _partition_corpus():
