@@ -296,19 +296,21 @@ def sweep_cores(program: KernelProgram, profile: QecProfile, params: FabricParam
     """Latency as a function of core count; k = 1 is always included as the
     baseline. Kernels with fewer operations than cores still map, leaving
     some cores empty. A core count the budget cannot support (per-core
-    budget below the most expensive operation) is skipped with a reason."""
+    budget below the most expensive operation) is skipped with a reason;
+    any other configuration error ends the sweep."""
     cfg = cfg or ScheduleConfig()
     values = sorted(set(int(k) for k in k_values) | {1})
     points = []
     skipped = []
     for k in values:
         pk = replace(params, core_count=k)
-        t0 = time.perf_counter()
         try:
-            rep = map_program(program, profile, pk, cfg, eps, seed)
+            pk.validate_against(profile)
         except ConfigError as exc:
             skipped.append((k, str(exc)))
             continue
+        t0 = time.perf_counter()
+        rep = map_program(program, profile, pk, cfg, eps, seed)
         points.append(SweepPoint(k, rep.program_latency_us, (time.perf_counter() - t0) * 1e3))
     return SweepResult(points, skipped)
 

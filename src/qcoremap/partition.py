@@ -380,6 +380,8 @@ def kway_partition(g: Qodg, k: int, eps: float = 0.1,
         raise ConfigError("part count must be >= 1")
     if not 0 < eps < 1:
         raise ConfigError("balance tolerance must satisfy 0 < eps < 1")
+    if seed < 0:
+        raise ConfigError("seed must be >= 0")
     ann = weights if weights is not None else assign_weight_vectors(g, k)
 
     eps_f = Fraction(eps)

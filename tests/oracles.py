@@ -347,6 +347,69 @@ def best_binding(w, d) -> tuple[tuple[int, ...], float]:
 
 
 # ----------------------------------------------------------------------
+# the binder as it was before the cached column table: every k! row
+# rebuilt per call and every off-diagonal pair scanned, and greedy swap
+# descent scored with numpy-scalar indexing. Both return
+# (part_to_core, cost), the pair bind_parts' answer is compared on.
+
+def reference_binding_cost(w, d, perm) -> float:
+    total = 0.0
+    k = w.shape[0]
+    for m in range(k):
+        for x in range(k):
+            if m != x:
+                total += float(w[m, x]) * float(d[perm[m], perm[x]])
+    return total
+
+
+def reference_table_bind(w, d) -> tuple[tuple[int, ...], float]:
+    w = np.asarray(w, dtype=np.float64)
+    d = np.asarray(d, dtype=np.float64)
+    k = w.shape[0]
+    # one int8 row per permutation (320 KiB at k = 8); the pair terms are
+    # added in binding_cost's order, so every cost is bit-identical to it
+    perms = np.fromiter(
+        itertools.chain.from_iterable(itertools.permutations(range(k))),
+        dtype=np.int8, count=math.factorial(k) * k,
+    ).reshape(-1, k)
+    cost = np.zeros(len(perms))
+    for m in range(k):
+        for x in range(k):
+            if m != x:
+                cost += w[m, x] * d[perms[:, m], perms[:, x]]
+    best = int(np.argmin(cost))
+    return tuple(int(p) for p in perms[best]), float(cost[best])
+
+
+def reference_greedy_bind(w, d) -> tuple[tuple[int, ...], float]:
+    w = np.asarray(w, dtype=np.float64)
+    d = np.asarray(d, dtype=np.float64)
+    k = w.shape[0]
+    # seed: heaviest-traffic parts onto the most central cores
+    traffic = w.sum(axis=0) + w.sum(axis=1)
+    mask = ~np.eye(k, dtype=bool)
+    centrality = np.where(mask, d, 0.0).sum(axis=1)
+    parts = sorted(range(k), key=lambda m: (-traffic[m], m))
+    cores = sorted(range(k), key=lambda c: (centrality[c], c))
+    perm = [0] * k
+    for part, core in zip(parts, cores):
+        perm[part] = core
+    cost = reference_binding_cost(w, d, perm)
+    improved = True
+    while improved:
+        improved = False
+        for a in range(k):
+            for b in range(a + 1, k):
+                perm[a], perm[b] = perm[b], perm[a]
+                cand = reference_binding_cost(w, d, perm)
+                if cand < cost:
+                    cost = cand
+                    improved = True
+                else:
+                    perm[a], perm[b] = perm[b], perm[a]
+    return tuple(perm), cost
+
+# ----------------------------------------------------------------------
 # optimal makespan by serial scheduling over every topological order
 
 def optimal_makespan(n, preds, dur, anc, core, lag, n_cores, budget) -> int:

@@ -1,9 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import best_binding
+from oracles import best_binding, reference_greedy_bind, reference_table_bind
 
-from qcoremap import FabricParams, bind_parts, binding_cost, compute_geometry, delay_matrix, grid_layout
+from qcoremap import (
+    ConfigError,
+    FabricParams,
+    bind_parts,
+    binding_cost,
+    compute_geometry,
+    delay_matrix,
+    grid_layout,
+    map_program,
+    parse_program,
+)
+from qcoremap.generators import random_netlist, walk_step_netlist
 
 
 def _mesh_delays(steane, k):
@@ -50,3 +63,71 @@ def test_greedy_binding_above_the_exhaustive_limit(steane):
     assert not b.exhaustive
     assert sorted(b.part_to_core) == list(range(9))
     assert b.cost == binding_cost(w, d, b.part_to_core)
+
+
+# ----------------------------------------------------------------------
+# the cached, traffic-only scan and the list-scored descent replay the
+# binder they replaced bit for bit (costs compared with ==, not a tolerance)
+
+def _traffic(kind, k, rng):
+    w = np.zeros((k, k))
+    if kind == "single" and k > 1:
+        m, x = rng.choice(k, 2, replace=False)
+        w[m, x] = rng.random() * 10
+    elif kind == "diagonal":
+        w[np.diag_indices(k)] = rng.random(k) * 10
+    elif kind == "dense-int":
+        w = rng.integers(0, 4, (k, k)).astype(float)
+    elif kind == "dense":
+        w = rng.random((k, k)) * 10
+    return w
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 8),
+       kind=st.sampled_from(["zero", "single", "diagonal", "dense-int", "dense"]),
+       mesh=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(k=8, kind="dense", mesh=False, seed=0)
+@example(k=8, kind="dense-int", mesh=True, seed=1)
+@example(k=8, kind="single", mesh=True, seed=2)
+@example(k=8, kind="diagonal", mesh=False, seed=3)
+def test_scan_equals_the_full_table_scan(steane, k, kind, mesh, seed):
+    rng = np.random.default_rng(seed)
+    w = _traffic(kind, k, rng)
+    d = _mesh_delays(steane, k) if mesh else rng.random((k, k)) * 100
+    b = bind_parts(w, d)
+    assert b.exhaustive
+    assert (b.part_to_core, b.cost) == reference_table_bind(w, d)
+
+
+@pytest.mark.parametrize("text", [walk_step_netlist(16, 2, seed=s) for s in range(8, 16)]
+                         + [random_netlist(500, 32, s) for s in (1, 2)],
+                         ids=[f"walk{s}" for s in range(8, 16)] + ["random1", "random2"])
+def test_scan_equals_the_full_table_scan_on_corpus_kernels(text, steane):
+    report = map_program(parse_program(text), steane, FabricParams(8, 1800))
+    for km in report.kernel_maps.values():
+        assert km.binding.exhaustive
+        assert ((km.binding.part_to_core, km.binding.cost)
+                == reference_table_bind(km.partition.traffic, km.dmat))
+
+
+@pytest.mark.parametrize("k", range(9, 13))
+def test_greedy_binding_equals_the_numpy_scalar_descent(k, steane):
+    rng = np.random.default_rng(20 + k)
+    for d in (_mesh_delays(steane, k), rng.random((k, k)) * 100):
+        for kind in ("zero", "single", "dense-int", "dense"):
+            w = _traffic(kind, k, rng)
+            b = bind_parts(w, d)
+            assert not b.exhaustive
+            assert (b.part_to_core, b.cost) == reference_greedy_bind(w, d)
+
+
+@pytest.mark.parametrize("matrix", ["traffic", "delay"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("k", [4, 9])
+def test_non_finite_matrix_entry_is_rejected(matrix, value, k):
+    w = np.ones((k, k))
+    d = np.ones((k, k))
+    (w if matrix == "traffic" else d)[1, 0] = value
+    with pytest.raises(ConfigError, match="finite"):
+        bind_parts(w, d)

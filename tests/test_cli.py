@@ -115,3 +115,15 @@ def test_huge_finite_option_exits_two(netlist, capsys, option, value):
     # schedule whose end no int64 level holds
     assert main(["map", netlist, "--qec", "steane", "-k", "2", "-A", "400", option, value]) == 2
     _assert_one_line(capsys.readouterr().err, "configuration error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["map", "-k", "2", "-A", "400", "--seed", "-1"],
+    ["sweep-cores", "-A", "800", "--k-list", "1,2", "--seed", "-1"],
+    ["sweep-cores", "-A", "800", "--k-list", "1,2", "--epsilon", "1.5"],
+], ids=["map-seed", "sweep-cores-seed", "sweep-cores-epsilon"])
+def test_bad_partition_option_exits_two(netlist, capsys, argv):
+    # sweep-cores skips only core counts the budget cannot support, so an
+    # option no k can use ends the run instead of skipping every k
+    assert main([argv[0], netlist, "--qec", "steane"] + argv[1:]) == 2
+    _assert_one_line(capsys.readouterr().err, "configuration error: ")
