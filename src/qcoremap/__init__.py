@@ -8,7 +8,6 @@ from .ir import (
     Kernel,
     KernelCatalog,
     KernelProgram,
-    LogicalQubit,
     QuantumOp,
     StageSequence,
     identify_kernels,
@@ -34,7 +33,7 @@ from .fabric import (
     grid_layout,
     load_qec_profile,
 )
-from .binding import Binding, bind_parts, binding_cost
+from .binding import Binding, bind_parts
 from .scheduling import (
     LevelizedDurations,
     MappedSchedule,

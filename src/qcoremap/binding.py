@@ -9,7 +9,7 @@ result is flagged non-exhaustive.
 The k <= 8 scan reads a permutation table built once per k: int8, column-major
 (row m holds part m's core in every permutation), permutations in
 lexicographic order. Only the pairs that carry traffic (w[m][x] != 0) are
-gathered, in row-major order, so their terms are added in `binding_cost`'s
+gathered, in row-major order, so their terms are added in `_list_cost`'s
 m-major, x-minor order. The pairs left out are exact no-ops: with w and d
 finite (checked on entry), a skipped term is 0.0 * finite = +-0.0, and adding
 +-0.0 to an accumulator that starts at +0.0 changes no bit. So every cost,
@@ -39,7 +39,8 @@ class Binding:
 
 
 def _list_cost(w_rows: list[list[float]], d_rows: list[list[float]], perm) -> float:
-    """binding_cost over matrices already converted to nested float lists."""
+    """The objective of perm, with w and d as nested float lists; the terms
+    are added m-major, x-minor."""
     total = 0.0
     for m, (wm, pm) in enumerate(zip(w_rows, perm)):
         dm = d_rows[pm]
@@ -47,11 +48,6 @@ def _list_cost(w_rows: list[list[float]], d_rows: list[list[float]], perm) -> fl
             if m != x:
                 total += wm[x] * dm[px]
     return total
-
-
-def binding_cost(w: np.ndarray, d: np.ndarray, perm) -> float:
-    return _list_cost(np.asarray(w, dtype=np.float64).tolist(),
-                      np.asarray(d, dtype=np.float64).tolist(), perm)
 
 
 def bind_parts(w: np.ndarray, d: np.ndarray) -> Binding:

@@ -18,14 +18,15 @@ from .scheduling import ScheduleConfig
 BUNDLED = ("steane", "bacon_shor")
 
 
-def _add_common(p: argparse.ArgumentParser, need_budget=True, need_cores=True):
+def _add_common(p: argparse.ArgumentParser, cores=True, ancilla=True):
     p.add_argument("netlist", help="netlist source file")
     p.add_argument("--qec", required=True,
                    help=f"QEC profile file, or a bundled name: {', '.join(BUNDLED)}")
-    p.add_argument("-k", "--cores", type=int, required=need_cores, default=4,
-                   help="quantum core count")
-    p.add_argument("-A", "--ancilla", type=int, required=need_budget,
-                   help="total physical ancilla budget")
+    if cores:
+        p.add_argument("-k", "--cores", type=int, required=True, help="quantum core count")
+    if ancilla:
+        p.add_argument("-A", "--ancilla", type=int, required=True,
+                       help="total physical ancilla budget")
     p.add_argument("--beta-pmd", type=float, default=10.0, help="unit-distance delay, us/cell")
     p.add_argument("--alpha-int", type=int, default=3, help="interconnect width, cells")
     p.add_argument("--gamma-mem", type=float, default=0.2, help="memory routing coefficient")
@@ -47,13 +48,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timings", action="store_true", help="include phase timings in the report")
 
     p = sub.add_parser("sweep-budget", help="latency vs ancilla budget (CSV)")
-    _add_common(p, need_budget=False)
+    _add_common(p, ancilla=False)
     p.add_argument("--from", dest="a_from", type=int, required=True, help="first budget")
     p.add_argument("--to", dest="a_to", type=int, required=True, help="last budget")
     p.add_argument("--step", dest="a_step", type=int, required=True, help="budget step")
 
     p = sub.add_parser("sweep-cores", help="latency vs core count (CSV)")
-    _add_common(p, need_budget=True, need_cores=False)
+    _add_common(p, cores=False)
     p.add_argument("--k-list", default="1,2,4,8", help="comma-separated core counts")
     return ap
 
@@ -64,11 +65,13 @@ def _load_inputs(args):
     if args.qec in BUNDLED:
         profile = bundled_profile(args.qec)
     else:
-        profile = load_qec_profile(args.qec)
-    ancilla = args.ancilla if args.ancilla is not None else profile.max_ancilla * args.cores
-    params = FabricParams(args.cores, ancilla, args.beta_pmd, args.alpha_int, args.gamma_mem)
-    cfg = ScheduleConfig(cycle_time=args.cycle_time)
-    return program, profile, params, cfg
+        with open(args.qec, "r", encoding="utf-8") as fh:
+            profile = load_qec_profile(fh.read())
+    return program, profile, ScheduleConfig(cycle_time=args.cycle_time)
+
+
+def _params(args, cores: int, ancilla: int) -> FabricParams:
+    return FabricParams(cores, ancilla, args.beta_pmd, args.alpha_int, args.gamma_mem)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -82,9 +85,10 @@ def _emit(text: str, out: str | None) -> None:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        program, profile, params, cfg = _load_inputs(args)
+        program, profile, cfg = _load_inputs(args)
         if args.command == "map":
-            report = map_program(program, profile, params, cfg, args.epsilon, args.seed)
+            report = map_program(program, profile, _params(args, args.cores, args.ancilla), cfg,
+                                 args.epsilon, args.seed)
             if args.dump_qodg:
                 _emit("".join(render_dot(km.qodg) for _, km in sorted(report.kernel_maps.items())),
                       args.dump_qodg)
@@ -95,8 +99,8 @@ def main(argv=None) -> int:
             budgets = range(args.a_from, args.a_to + 1, args.a_step)
             if not budgets:
                 raise ConfigError("empty budget range")
-            result = sweep_budget(program, profile, params, budgets, cfg,
-                                  args.epsilon, args.seed)
+            result = sweep_budget(program, profile, _params(args, args.cores, max(budgets)),
+                                  budgets, cfg, args.epsilon, args.seed)
             for a, why in result.skipped:
                 print(f"warning: skipped A={a}: {why}", file=sys.stderr)
             if result.saturation_value is not None:
@@ -109,7 +113,8 @@ def main(argv=None) -> int:
             except ValueError:
                 raise ConfigError(
                     f"--k-list takes comma-separated integers, got '{args.k_list}'") from None
-            result = sweep_cores(program, profile, params, ks, cfg, args.epsilon, args.seed)
+            result = sweep_cores(program, profile, _params(args, 1, args.ancilla), ks, cfg,
+                                 args.epsilon, args.seed)
             for k, why in result.skipped:
                 print(f"warning: skipped k={k}: {why}", file=sys.stderr)
             _emit(render_sweep_csv(result), args.out)

@@ -49,7 +49,6 @@ ASSUMPTIONS = (
 
 @dataclass
 class KernelMapping:
-    rep_id: str
     qodg: Qodg
     weights: WeightAnnotation
     partition: Partition
@@ -68,11 +67,10 @@ class MappingReport:
     params: FabricParams
     cfg: ScheduleConfig
     kernel_maps: dict[str, KernelMapping]
-    stages: tuple[tuple[str, str, int, float], ...]  # (kernel, rep, count, latency_us)
     program_latency_us: float
 
 
-def _prepare_kernel(rep_id, kernel, profile, params, cfg, eps, seed) -> KernelMapping:
+def _prepare_kernel(kernel, profile, params, cfg, eps, seed) -> KernelMapping:
     """Every budget-independent step: dependency graph, partition, geometry,
     delays, binding and quantized durations. The schedule is left unset."""
     timings: dict[str, float] = {}
@@ -94,7 +92,7 @@ def _prepare_kernel(rep_id, kernel, profile, params, cfg, eps, seed) -> KernelMa
     t0 = time.perf_counter()
     lev = quantize(g, dmat, cfg)
     timings["quantize"] = (time.perf_counter() - t0) * 1e3
-    return KernelMapping(rep_id, g, ann, part, geom, dmat, bnd, lev, timings)
+    return KernelMapping(g, ann, part, geom, dmat, bnd, lev, timings)
 
 
 def _prepare_program(program: KernelProgram, profile: QecProfile, params: FabricParams,
@@ -108,7 +106,7 @@ def _prepare_program(program: KernelProgram, profile: QecProfile, params: Fabric
     catalog = identify_kernels(program)
     needed = sorted({rep for _, rep, _ in catalog.stage_instances})
     return catalog, {
-        rep: _prepare_kernel(rep, catalog.representatives[rep], profile, params, cfg, eps, seed)
+        rep: _prepare_kernel(catalog.representatives[rep], profile, params, cfg, eps, seed)
         for rep in needed
     }
 
@@ -121,7 +119,7 @@ def _schedule_kernel(km: KernelMapping, budget_per_core: int) -> MappedSchedule:
                                      budget_per_core, km.lev)
     if not ok:
         raise RuntimeError(
-            f"schedule for kernel '{km.rep_id}' at per-core budget {budget_per_core} "
+            f"schedule for kernel '{km.qodg.kernel_id}' at per-core budget {budget_per_core} "
             "failed verification: " + "; ".join(violations[:5])
         )
     return sched
@@ -144,12 +142,8 @@ def map_program(program: KernelProgram, profile: QecProfile, params: FabricParam
         t0 = time.perf_counter()
         km.schedule = _schedule_kernel(km, params.budget_per_core)
         km.timings_ms["schedule"] = (time.perf_counter() - t0) * 1e3
-    stages = tuple(
-        (kid, rep, count, kernel_maps[rep].schedule.latency_us)
-        for kid, rep, count in catalog.stage_instances
-    )
     total = _program_latency(catalog, lambda rep: kernel_maps[rep].schedule.latency_us)
-    return MappingReport(catalog, profile, params, cfg, kernel_maps, stages, total)
+    return MappingReport(catalog, profile, params, cfg, kernel_maps, total)
 
 
 # ----------------------------------------------------------------------
@@ -214,7 +208,8 @@ def render_report(report: MappingReport, include_timings: bool = False) -> str:
     out.append("")
     out.append("PROGRAM")
     out.append("  stage kernel rep repeat latency_us")
-    for idx, (kid, rep, count, lat) in enumerate(report.stages):
+    for idx, (kid, rep, count) in enumerate(report.catalog.stage_instances):
+        lat = report.kernel_maps[rep].schedule.latency_us
         out.append(f"  {idx} {kid} {rep} {count} {_us(count * lat)}")
     out.append(f"  total_latency_us: {_us(report.program_latency_us)}")
     out.append("")
@@ -261,16 +256,17 @@ def sweep_budget(program: KernelProgram, profile: QecProfile, params: FabricPara
     skipped = []
     for a in sorted(set(int(a) for a in budgets)):
         try:
-            replace(params, ancilla_budget=a).validate_against(profile)
+            pa = replace(params, ancilla_budget=a)
+            pa.validate_against(profile)
         except ConfigError as exc:
             skipped.append((a, str(exc)))
         else:
-            feasible.append(a)
+            feasible.append(pa)
     if not feasible and program.sequence.stages:
         return SweepResult([], skipped)
     # with no feasible budget only an empty program gets here, and
     # _prepare_program rejects it before it looks at the budget
-    pinned = replace(params, ancilla_budget=max(feasible, default=params.ancilla_budget))
+    pinned = feasible[-1] if feasible else params
     catalog, prepared = _prepare_program(program, profile, pinned, cfg, eps, seed)
 
     def program_latency(budget_per_core: int) -> float:
@@ -279,10 +275,10 @@ def sweep_budget(program: KernelProgram, profile: QecProfile, params: FabricPara
         )
 
     points = []
-    for a in feasible:
+    for pa in feasible:
         t0 = time.perf_counter()
-        lat = program_latency(a // params.core_count)
-        points.append(SweepPoint(a, lat, (time.perf_counter() - t0) * 1e3))
+        lat = program_latency(pa.budget_per_core)
+        points.append(SweepPoint(pa.ancilla_budget, lat, (time.perf_counter() - t0) * 1e3))
 
     unbounded = int(max(int(km.qodg.ancilla.sum()) for km in prepared.values())) + 1
     sat_latency = program_latency(unbounded)

@@ -69,21 +69,18 @@ def _number(parse, text: str, lineno: int):
         raise ConfigError(f"profile line {lineno}: '{text}' is not {kind}") from None
 
 
-def load_qec_profile(source) -> QecProfile:
-    """Load a profile from its text, or from a path (any string without a
-    newline is read as a path).
+def load_qec_profile(text: str) -> QecProfile:
+    """Parse a profile from its text.
 
     Format (line-oriented, '#' comments):
-        code <name> length <L>
+        code <name> length <L>                  (exactly once)
         op <KIND> ancilla <int> delay_us <decimal> transversal <0|1>
+                                                (at most once per KIND)
 
-    A malformed line or field, or a value that is not positive and finite,
+    A malformed line or field, a value that is not positive and finite, a
+    transversal flag other than 0 or 1, a second header or a repeated KIND
     raises ConfigError with the line number.
     """
-    text = str(source)
-    if "\n" not in text:
-        with open(text, "r", encoding="utf-8") as fh:
-            text = fh.read()
     name = None
     length = None
     rows: dict[str, OpCost] = {}
@@ -93,6 +90,8 @@ def load_qec_profile(source) -> QecProfile:
             continue
         parts = line.split()
         if parts[0] == "code":
+            if name is not None:
+                raise ConfigError(f"profile line {lineno}: second 'code' header")
             if len(parts) != 4 or parts[2] != "length":
                 raise ConfigError(f"profile line {lineno}: expected 'code <name> length <L>'")
             name = parts[1]
@@ -105,13 +104,17 @@ def load_qec_profile(source) -> QecProfile:
                     f"profile line {lineno}: expected 'op <KIND> ancilla <int> delay_us <dec> transversal <0|1>'"
                 )
             kind = parts[1]
+            if kind in rows:
+                raise ConfigError(f"profile line {lineno}: second row for operation '{kind}'")
             ancilla = _number(int, parts[3], lineno)
             delay = _number(float, parts[5], lineno)
-            transversal = parts[7] == "1"
             if ancilla <= 0 or not math.isfinite(delay) or delay <= 0:
                 raise ConfigError(
                     f"profile line {lineno}: ancilla and delay must be positive and finite")
-            rows[kind] = OpCost(ancilla, delay, transversal)
+            if parts[7] not in ("0", "1"):
+                raise ConfigError(f"profile line {lineno}: transversal must be 0 or 1, "
+                                  f"got '{parts[7]}'")
+            rows[kind] = OpCost(ancilla, delay, parts[7] == "1")
         else:
             raise ConfigError(f"profile line {lineno}: unknown entry '{parts[0]}'")
     if name is None or length is None:

@@ -23,20 +23,11 @@ TWO_QUBIT_KINDS = frozenset({"CNOT"})
 
 
 @dataclass(frozen=True)
-class LogicalQubit:
-    """Algorithm-level qubit; `index` is dense and program-wide."""
-
-    name: str
-    index: int
-
-
-@dataclass(frozen=True)
 class QuantumOp:
     """One fault-tolerant operation over program qubit indices."""
 
     kind: str
     operands: tuple[int, ...]
-    seq: int
 
 
 def canonical_signature(body: tuple[QuantumOp, ...]) -> tuple:
@@ -73,7 +64,9 @@ class StageSequence:
 
 @dataclass(frozen=True)
 class KernelProgram:
-    qubits: tuple[LogicalQubit, ...]
+    """`qubits` holds the declared qubit names; operand index i is qubits[i]."""
+
+    qubits: tuple[str, ...]
     kernels: dict[str, Kernel]
     sequence: StageSequence
 
@@ -82,20 +75,19 @@ class KernelProgram:
 class KernelCatalog:
     """Result of kernel identification.
 
-    `representatives` maps representative kernel id -> Kernel; `rep_of` maps
-    every kernel id to its representative; `stage_instances` lists, per
-    stage, (kernel id, representative id, repetition).
+    `representatives` maps representative kernel id -> Kernel;
+    `stage_instances` lists, per stage, (kernel id, representative id,
+    repetition).
     """
 
     representatives: dict[str, Kernel]
-    rep_of: dict[str, str]
     stage_instances: tuple[tuple[str, str, int], ...]
 
 
 class _Parser:
     def __init__(self, text: str):
         self.lines = text.splitlines()
-        self.qubits: list[LogicalQubit] = []
+        self.qubits: list[str] = []
         self.qubit_by_name: dict[str, int] = {}
         self.kernels: dict[str, Kernel] = {}
         self.stages: list[tuple[str, int, int]] = []  # (id, count, lineno)
@@ -147,9 +139,8 @@ class _Parser:
         if name in self.qubit_by_name:
             self.error(f"duplicate qubit '{name}'", lineno)
         self._flush_loose_run()
-        index = len(self.qubits)
-        self.qubit_by_name[name] = index
-        self.qubits.append(LogicalQubit(name, index))
+        self.qubit_by_name[name] = len(self.qubits)
+        self.qubits.append(name)
 
     def _kernel_open(self, line, lineno):
         if self.open_kernel is not None:
@@ -210,12 +201,8 @@ class _Parser:
             self.error(f"{head} takes {want} operand(s), got {len(operands)}", lineno)
         if want == 2 and operands[0] == operands[1]:
             self.error(f"{head} operands must be distinct qubits", lineno)
-        if self.open_kernel is not None:
-            op = QuantumOp(head, tuple(operands), len(self.open_body))
-            self.open_body.append(op)
-        else:
-            op = QuantumOp(head, tuple(operands), len(self.loose_run))
-            self.loose_run.append(op)
+        body = self.open_body if self.open_kernel is not None else self.loose_run
+        body.append(QuantumOp(head, tuple(operands)))
 
     def _flush_loose_run(self):
         if not self.loose_run:
@@ -248,14 +235,8 @@ def identify_kernels(program: KernelProgram) -> KernelCatalog:
     distinct kernel is mapped exactly once downstream.
     """
     by_signature: dict[tuple, str] = {}
-    representatives: dict[str, Kernel] = {}
-    rep_of: dict[str, str] = {}
-    for kid, kernel in program.kernels.items():
-        rep = by_signature.setdefault(canonical_signature(kernel.body), kid)
-        rep_of[kid] = rep
-        if rep == kid:
-            representatives[kid] = kernel
-    instances = tuple(
-        (kid, rep_of[kid], count) for kid, count in program.sequence.stages
-    )
-    return KernelCatalog(representatives, rep_of, instances)
+    rep_by_id = {kid: by_signature.setdefault(canonical_signature(kernel.body), kid)
+                 for kid, kernel in program.kernels.items()}
+    representatives = {kid: program.kernels[kid] for kid, rep in rep_by_id.items() if kid == rep}
+    instances = tuple((kid, rep_by_id[kid], count) for kid, count in program.sequence.stages)
+    return KernelCatalog(representatives, instances)

@@ -79,6 +79,12 @@ def traffic_matrix(g: Qodg, assignment: np.ndarray, k: int) -> np.ndarray:
     return w
 
 
+def decimal_fraction(x: float) -> Fraction:
+    """The decimal a float prints as, exactly: 0.3 is 3/10, not the nearest
+    binary fraction (which is slightly below it)."""
+    return Fraction(repr(float(x)))
+
+
 def _bound_pair(total: int, k: int, eps: Fraction) -> tuple[int, int]:
     # lower bound rounded down; upper bound is the largest integer count not
     # exceeding ceil(total/k)*(1+eps), which keeps wide levels genuinely
@@ -102,23 +108,32 @@ def _stride_pick(m: int, t: int) -> np.ndarray:
     return mask
 
 
-class _Bisection:
-    """One two-way split of a node subset destined for k1 + k2 final parts."""
+def _side_edges(edges, side: np.ndarray):
+    """The edges with both ends on side, relabelled to their ends' ranks
+    among side's nodes."""
+    on = side.tolist()
+    rank = (np.cumsum(side) - 1).tolist()
+    return [(rank[a], rank[b], w) for a, b, w in edges if on[a] and on[b]]
 
-    def __init__(self, nodes, node_dim, edge_list, edge_w_between,
-                 k1, k2, dim_lo, dim_hi, node_hi):
-        self.nodes = nodes              # global ids, ascending
-        self.m = len(nodes)
+
+class _Bisection:
+    """One two-way split of m nodes destined for k1 + k2 final parts.
+
+    node_dim holds each node's global dimension (-1 for none) and edges are
+    (a, b, qubits) over the local indices 0..m-1; parallel edges add up.
+    """
+
+    def __init__(self, node_dim, edges, k1, k2, dim_lo, dim_hi, node_hi):
+        self.m = len(node_dim)
         self.k1 = k1
         self.k2 = k2
-        loc = {u: i for i, u in enumerate(nodes.tolist())}
-        global_dim = node_dim[nodes].tolist()
-        self.edges = [(loc[a], loc[b], w) for a, b, w in edge_list
-                      if a in loc and b in loc]
-        self.w_between = edge_w_between
+        global_dim = node_dim.tolist()
+        self.edges = edges
         # qubits shared by each local pair (i, j), i < j, as Python ints
-        self.pair_w = {(loc[a], loc[b]): w for (a, b), w in edge_w_between.items()
-                       if a in loc and b in loc}
+        self.pair_w: dict[tuple[int, int], int] = {}
+        for a, b, w in edges:
+            key = (a, b) if a < b else (b, a)
+            self.pair_w[key] = self.pair_w.get(key, 0) + w
         # relabel the dimensions present here to 0..D-1 for list indexing
         dims_global = sorted({d for d in global_dim if d >= 0})
         remap = {c: j for j, c in enumerate(dims_global)}
@@ -372,8 +387,9 @@ def kway_partition(g: Qodg, k: int, eps: float = 0.1,
     level dimension, minimizing the qubit weight of cut edges.
 
     Deterministic for fixed inputs and seed. The seed only varies one of the
-    refinement restarts; all tie-breaks favor the lowest node seq. With
-    fewer operations than parts some parts stay empty.
+    refinement restarts; all tie-breaks favor the lowest node index. eps is
+    read as the decimal it prints as (0.1 is 1/10). With fewer operations
+    than parts some parts stay empty.
     """
     n = len(g)
     if k < 1:
@@ -384,7 +400,7 @@ def kway_partition(g: Qodg, k: int, eps: float = 0.1,
         raise ConfigError("seed must be >= 0")
     ann = weights if weights is not None else assign_weight_vectors(g, k)
 
-    eps_f = Fraction(eps)
+    eps_f = decimal_fraction(eps)
     dim_lo = {}
     dim_hi = {}
     for c in range(ann.n_con):
@@ -392,23 +408,18 @@ def kway_partition(g: Qodg, k: int, eps: float = 0.1,
         dim_lo[c], dim_hi[c] = _bound_pair(total, k, eps_f)
     _, node_hi = _bound_pair(n, k, eps_f)
 
-    edge_list = [(e.src, e.dst, e.weight) for e in g.edges]
-    w_between: dict[tuple[int, int], int] = {}
-    for a, b, w in edge_list:
-        key = (min(a, b), max(a, b))
-        w_between[key] = w_between.get(key, 0) + w
-
     assignment = np.full(n, -1, dtype=np.int64)
     rng = np.random.default_rng(seed)
 
-    def bisect(nodes: np.ndarray, kappa: int, offset: int):
+    def bisect(nodes: np.ndarray, edges, kappa: int, offset: int):
+        """Split nodes (global ids, ascending; edges over their local
+        indices) into parts offset .. offset + kappa - 1."""
         if kappa == 1 or len(nodes) == 0:
             assignment[nodes] = offset
             return
         k1 = (kappa + 1) // 2
         k2 = kappa - k1
-        bis = _Bisection(nodes, ann.node_dim, edge_list, w_between,
-                         k1, k2, dim_lo, dim_hi, node_hi)
+        bis = _Bisection(ann.node_dim[nodes], edges, k1, k2, dim_lo, dim_hi, node_hi)
         m = len(nodes)
         orders = [np.arange(m)]
         if m <= 512:
@@ -425,8 +436,8 @@ def kway_partition(g: Qodg, k: int, eps: float = 0.1,
             if best_cut is None or cut < best_cut:
                 best_cut = cut
                 best_side = side.copy()
-        bisect(nodes[best_side], k1, offset)
-        bisect(nodes[~best_side], k2, offset + k1)
+        bisect(nodes[best_side], _side_edges(edges, best_side), k1, offset)
+        bisect(nodes[~best_side], _side_edges(edges, ~best_side), k2, offset + k1)
 
-    bisect(np.arange(n, dtype=np.int64), k, 0)
+    bisect(np.arange(n, dtype=np.int64), [(e.src, e.dst, e.weight) for e in g.edges], k, 0)
     return Partition(assignment, k, traffic_matrix(g, assignment, k))

@@ -4,7 +4,7 @@ Durations and routing delays are quantized to integer scheduling levels:
 the ceiling of delay / cycle time, computed exactly on the decimal values
 as written (so 2.1 us at a 0.3 us cycle is 7 levels, not the 8 that float
 division gives). Operations are processed in critical-path priority order
-(longest path to any sink, ties by seq) and each takes the earliest start
+(longest path to any sink, ties to the lower node index) and each takes the earliest start
 level at which its predecessors have finished, routing lags have elapsed,
 and its core's ancilla occupancy stays within the per-core budget for its
 whole duration window.
@@ -31,12 +31,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
-
 import numpy as np
 
 from .errors import ConfigError
-from .partition import Partition
+from .partition import Partition, decimal_fraction
 from .binding import Binding
 from .qodg import Qodg
 
@@ -61,19 +59,13 @@ class LevelizedDurations:
 _LEVEL_LIMIT = 2**63 - 1
 
 
-def _decimal(us: float) -> Fraction:
-    """The decimal a float prints as, exactly: 0.3 is 3/10, not the nearest
-    binary fraction (which is slightly below it)."""
-    return Fraction(repr(float(us)))
-
-
 def quantize(g: Qodg, dmat: np.ndarray, cfg: ScheduleConfig) -> LevelizedDurations:
     """Convert microsecond node delays and k x k routing delays to integer
     level counts."""
-    cyc = _decimal(cfg.cycle_time)
+    cyc = decimal_fraction(cfg.cycle_time)
     delays = g.delay_us.tolist()
     d = dmat.tolist()
-    levels = {v: math.ceil(_decimal(v) / cyc) for v in set(delays).union(*d)}
+    levels = {v: math.ceil(decimal_fraction(v) / cyc) for v in set(delays).union(*d)}
     longest = max(levels)  # the longest delay takes the most levels
     if levels[longest] > _LEVEL_LIMIT:
         raise ConfigError(f"a delay of {longest:g} us at cycle time {cfg.cycle_time:g} us "

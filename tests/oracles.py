@@ -66,11 +66,11 @@ def flat_op_count(program) -> int:
 
 def serialize_program(program) -> str:
     """Render a program back to netlist text; reparsing gives an equal program."""
-    out = [f"qubit {q.name}" for q in program.qubits]
+    out = [f"qubit {q}" for q in program.qubits]
     for kid, kernel in program.kernels.items():
         out.append(f".kernel {kid}")
         for op in kernel.body:
-            names = ",".join(program.qubits[i].name for i in op.operands)
+            names = ",".join(program.qubits[i] for i in op.operands)
             out.append(f"{op.kind} {names}")
         out.append(".endkernel")
     for kid, count in program.sequence.stages:
@@ -163,10 +163,13 @@ def longest_path(n: int, edges: dict[tuple[int, int], set[int]], delays,
 
 def best_two_way_cut(n, edge_list, node_dim, n_dims, eps):
     """Minimum cut over all feasible 2-way assignments; constraints mirror
-    the documented balance rules (recomputed here from scratch)."""
+    the documented balance rules (recomputed here from scratch), with eps
+    read as the decimal it prints as."""
+    eps = Fraction(str(eps))
+
     def bounds(total, k):
-        lo = math.floor(Fraction(total // k) * (1 - Fraction(eps)))
-        hi = math.floor(Fraction(-(-total // k)) * (1 + Fraction(eps)))
+        lo = math.floor(Fraction(total // k) * (1 - eps))
+        hi = math.floor(Fraction(-(-total // k)) * (1 + eps))
         return lo, hi
 
     dim_totals = [sum(1 for d in node_dim if d == c) for c in range(n_dims)]
@@ -230,11 +233,13 @@ def reference_refine(bis, side: np.ndarray, max_passes=8) -> np.ndarray:
                 ext[j] += w
                 itn[j] -= w
 
+    # qubits shared by each unordered pair, summed over parallel edges
+    pair_w: dict[frozenset, int] = {}
+    for a, b, w in bis.edges:
+        pair_w[frozenset((a, b))] = pair_w.get(frozenset((a, b)), 0) + w
+
     def w_direct(i, j):
-        a, b = bis.nodes[i], bis.nodes[j]
-        if a > b:
-            a, b = b, a
-        return bis.w_between.get((int(a), int(b)), 0)
+        return pair_w.get(frozenset((i, j)), 0)
 
     # _Bisection keeps dim and the quotas as lists
     dim = np.asarray(bis.dim, dtype=np.int64)
@@ -367,7 +372,8 @@ def reference_table_bind(w, d) -> tuple[tuple[int, ...], float]:
     d = np.asarray(d, dtype=np.float64)
     k = w.shape[0]
     # one int8 row per permutation (320 KiB at k = 8); the pair terms are
-    # added in binding_cost's order, so every cost is bit-identical to it
+    # added in reference_binding_cost's m-major, x-minor order, so every
+    # cost is bit-identical to it
     perms = np.fromiter(
         itertools.chain.from_iterable(itertools.permutations(range(k))),
         dtype=np.int8, count=math.factorial(k) * k,

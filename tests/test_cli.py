@@ -34,6 +34,26 @@ def test_sweep_budget_writes_csv(netlist, tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_profile_file_given_by_path_loads(netlist, tmp_path, capsys):
+    qec = tmp_path / "mine.qec"
+    qec.write_text(STEANE_TEXT, encoding="utf-8")
+    assert main(["map", netlist, "--qec", str(qec), "-k", "2", "-A", "400"]) == 0
+    by_path = capsys.readouterr().out
+    assert main(["map", netlist, "--qec", "steane", "-k", "2", "-A", "400"]) == 0
+    assert by_path == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep-budget", "-k", "2", "--from", "200", "--to", "400", "--step", "100", "-A", "400"],
+    ["sweep-cores", "-A", "800", "--k-list", "1,2", "-k", "4"],
+], ids=["sweep-budget-A", "sweep-cores-k"])
+def test_sweep_rejects_the_option_its_axis_replaces(netlist, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], netlist, "--qec", "steane"] + argv[1:])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_sweep_cores_writes_csv_to_stdout(netlist, capsys):
     assert main(["sweep-cores", netlist, "--qec", "steane", "-A", "800", "--k-list", "1,2,4"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -65,7 +85,10 @@ def _assert_one_line(err, prefix):
     ("op H    ancilla 28 ", "op H    ancilla x "),
     ("length 7", "length seven"),
     ("op T    ancilla 100 delay_us 400", "op T    ancilla 100 delay_us nan"),
-], ids=["ancilla-x", "length-seven", "delay-nan"])
+    ("transversal 0", "transversal 2"),
+    ("op CNOT", "op H    ancilla 28  delay_us 40  transversal 1\nop CNOT"),
+    ("op X", "code steane length 7\nop X"),
+], ids=["ancilla-x", "length-seven", "delay-nan", "transversal-2", "repeated-op", "second-code"])
 def test_malformed_profile_number_exits_two(netlist, tmp_path, capsys, old, new):
     assert old in STEANE_TEXT
     qec = tmp_path / "bad.qec"
@@ -95,6 +118,16 @@ def test_zero_budget_step_exits_two(netlist, capsys):
             "--from", "200", "--to", "400", "--step", "0"]
     assert main(argv) == 2
     _assert_one_line(capsys.readouterr().err, "configuration error: ")
+
+
+def test_budget_range_below_one_exits_two(netlist, capsys):
+    # the fabric is built at the largest swept budget, so a range with no
+    # budget of at least 1 is an error, not a header-only CSV
+    argv = ["sweep-budget", netlist, "--qec", "steane", "-k", "2",
+            "--from", "-5", "--to", "0", "--step", "1"]
+    assert main(argv) == 2
+    _assert_one_line(capsys.readouterr().err,
+                     "configuration error: ancilla budget must be >= 1")
 
 
 def test_repetition_with_two_minus_signs_exits_three(tmp_path, capsys):

@@ -67,6 +67,20 @@ def test_profile_number_fields_fail_with_their_line(line, message):
         load_qec_profile("\n".join(rows) + "\n")
 
 
+@pytest.mark.parametrize("line,message", [
+    ("op T ancilla 100 delay_us 400 transversal 2", "line 3: transversal must be 0 or 1, got '2'"),
+    ("op T ancilla 100 delay_us 400 transversal yes", "line 3: transversal must be 0 or 1"),
+    ("op H ancilla 30 delay_us 50 transversal 1", "line 3: second row for operation 'H'"),
+    ("code y length 9", "line 3: second 'code' header"),
+], ids=["transversal-2", "transversal-yes", "repeated-op", "second-code"])
+def test_profile_rejects_a_row_it_would_misread(line, message):
+    # before, an unknown flag read as 0 and a later row or header replaced
+    # the earlier one
+    text = "code x length 7\nop H ancilla 28 delay_us 40 transversal 1\n" + line + "\n"
+    with pytest.raises(ConfigError, match=f"^profile {message}"):
+        load_qec_profile(text)
+
+
 @pytest.mark.parametrize("field", ["beta_pmd", "gamma_mem"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_fabric_params_reject_non_finite_constants(field, value):

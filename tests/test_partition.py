@@ -3,7 +3,6 @@ full-rescan reference step for step, kway_partition keeps its snapshot
 assignments, and results respect the documented balance bounds and the
 exhaustive two-way optimum."""
 
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -24,15 +23,16 @@ from qcoremap import (
 )
 from qcoremap import partition
 from qcoremap.generators import random_netlist, walk_step_netlist
-from qcoremap.partition import _Bisection, _bound_pair
+from qcoremap.partition import _Bisection, _bound_pair, decimal_fraction
 
 GOLDEN = Path(__file__).parent / "golden"
 
 
 def _random_bisection(seed, m, n_dims, p_free, max_w, k1, k2, eps=0.1):
-    """A _Bisection over m of N >= m nodes. Nodes outside the subset always
-    carry one of n_dims dimensions, so p_free=1 gives a subset with none.
-    Edges have weights 1..max_w, and some pairs get parallel edges."""
+    """A _Bisection over m of N >= m nodes, given the edges with both ends
+    among its m nodes, relabelled to local indices. Nodes outside the subset
+    always carry one of n_dims dimensions, so p_free=1 gives a subset with
+    none. Edges have weights 1..max_w, and some pairs get parallel edges."""
     rng = np.random.default_rng(seed)
     n = m + int(rng.integers(0, 12))
     nodes = np.sort(rng.choice(n, size=m, replace=False)).astype(np.int64)
@@ -49,15 +49,14 @@ def _random_bisection(seed, m, n_dims, p_free, max_w, k1, k2, eps=0.1):
         if edge_list:
             picks = rng.integers(0, len(edge_list), size=len(edge_list) // 4)
             edge_list += [edge_list[int(i)] for i in picks]
-    w_between = {}
-    for a, b, w in edge_list:
-        w_between[(a, b)] = w_between.get((a, b), 0) + w
+    local = {u: i for i, u in enumerate(nodes.tolist())}
+    edges = [(local[a], local[b], w) for a, b, w in edge_list if a in local and b in local]
     k = k1 + k2 + int(rng.integers(0, 3))
     dim_lo, dim_hi = {}, {}
     for c in range(n_dims):
-        dim_lo[c], dim_hi[c] = _bound_pair(int(np.sum(node_dim == c)), k, Fraction(eps))
-    _, node_hi = _bound_pair(n, k, Fraction(eps))
-    bis = _Bisection(nodes, node_dim, edge_list, w_between, k1, k2, dim_lo, dim_hi, node_hi)
+        dim_lo[c], dim_hi[c] = _bound_pair(int(np.sum(node_dim == c)), k, decimal_fraction(eps))
+    _, node_hi = _bound_pair(n, k, decimal_fraction(eps))
+    bis = _Bisection(node_dim[nodes], edges, k1, k2, dim_lo, dim_hi, node_hi)
     return bis, rng
 
 
@@ -89,9 +88,9 @@ def test_refine_equals_full_rescan_on_unconstrained_pools(seed, m, p_free, swaps
     _assert_replays(bis, rng)
 
 
-def _kway_bisections(g, k):
-    """The _Bisection objects kway_partition(g, k) builds, in build order:
-    the top-level split first, then its first half."""
+def _kway_bisections(g, k, eps=0.1):
+    """The _Bisection objects kway_partition(g, k, eps) builds, in build
+    order: the top-level split first, then its first half."""
     built = []
 
     class Recording(_Bisection):
@@ -101,7 +100,7 @@ def _kway_bisections(g, k):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(partition, "_Bisection", Recording)
-        kway_partition(g, k)
+        kway_partition(g, k, eps)
     return built
 
 
@@ -120,11 +119,7 @@ def test_refine_equals_full_rescan_at_corpus_scale(seed):
 
 def _hand_bisection(node_dim, edges, dim_lo, dim_hi, node_hi):
     """A k1 = k2 = 1 _Bisection over nodes 0..m-1 with the given quotas."""
-    w_between = {}
-    for a, b, w in edges:
-        w_between[(a, b)] = w_between.get((a, b), 0) + w
-    return _Bisection(np.arange(len(node_dim)), np.array(node_dim), edges, w_between,
-                      1, 1, dim_lo, dim_hi, node_hi)
+    return _Bisection(np.array(node_dim), edges, 1, 1, dim_lo, dim_hi, node_hi)
 
 
 def test_refine_runs_the_sorted_scan_when_the_pool_tops_share_an_edge():
@@ -147,6 +142,18 @@ def test_refine_reenters_a_group_whose_moves_turn_feasible_again():
     side = np.array([False, True, False, True, True, True])
     assert reference_refine(bis, side.copy()).tolist() == [False, True, False, True, True, False]
     assert bis.refine(side).tolist() == [False, True, False, True, True, False]
+
+
+@pytest.mark.parametrize("n, eps, d_lo, d_hi", [(41, 0.1, 18, 23), (40, 0.3, 14, 26)])
+def test_balance_bounds_read_eps_as_its_decimal(steane, n, eps, d_lo, d_hi):
+    # one wide level of n nodes at k = 4, split 2 + 2: each part holds
+    # floor(10 * (1 - eps)) .. floor(ceil(n / 4) * (1 + eps)) of it, which is
+    # 9..12 at eps 0.1 (n = 41) and 7..13 at eps 0.3 (n = 40); the binary
+    # values of 0.1 and 0.3 would give 8 and 12
+    text = ops_to_netlist([("H", (i,)) for i in range(n)], n)
+    g = level_graph(build_qodg(parse_program(text).kernels["_top0"], steane))
+    top = _kway_bisections(g, 4, eps)[0]
+    assert (top.d_lo, top.d_hi) == ([d_lo], [d_hi])
 
 
 def _partition_corpus():
@@ -202,10 +209,10 @@ def _assert_within_bounds(g, part, k, eps, check_nodes):
     ann = assign_weight_vectors(g, k)
     counts = np.bincount(part.assignment, minlength=k)
     if check_nodes:
-        assert counts.max() <= _bound_pair(len(g), k, Fraction(eps))[1]
+        assert counts.max() <= _bound_pair(len(g), k, decimal_fraction(eps))[1]
     for c in range(ann.n_con):
         in_c = ann.node_dim == c
-        lo, hi = _bound_pair(int(in_c.sum()), k, Fraction(eps))
+        lo, hi = _bound_pair(int(in_c.sum()), k, decimal_fraction(eps))
         per_part = np.bincount(part.assignment[in_c], minlength=k)
         assert lo <= per_part.min() and per_part.max() <= hi
     cut = sum(e.weight for e in g.edges if part.assignment[e.src] != part.assignment[e.dst])
