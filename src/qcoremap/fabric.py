@@ -77,10 +77,16 @@ def load_qec_profile(text: str) -> QecProfile:
         op <KIND> ancilla <int> delay_us <decimal> transversal <0|1>
                                                 (at most once per KIND)
 
-    A malformed line or field, a value that is not positive and finite, a
-    transversal flag other than 0 or 1, a second header or a repeated KIND
-    raises ConfigError with the line number.
+    KIND is a netlist gate: H, S, T, Tdg, X, Y, Z or CNOT. A profile may
+    leave out Tdg; it is then costed as T, since a gate and its adjoint
+    cost the same under the codes modeled here (`QecProfile.lookup`).
+
+    A malformed line or field, an unknown KIND, a value that is not
+    positive and finite, a transversal flag other than 0 or 1, a second
+    header or a repeated KIND raises ConfigError with the line number.
     """
+    from .ir import GATE_KINDS
+
     name = None
     length = None
     rows: dict[str, OpCost] = {}
@@ -104,6 +110,9 @@ def load_qec_profile(text: str) -> QecProfile:
                     f"profile line {lineno}: expected 'op <KIND> ancilla <int> delay_us <dec> transversal <0|1>'"
                 )
             kind = parts[1]
+            if kind not in GATE_KINDS:
+                raise ConfigError(f"profile line {lineno}: unknown operation '{kind}', "
+                                  f"expected one of {', '.join(GATE_KINDS)}")
             if kind in rows:
                 raise ConfigError(f"profile line {lineno}: second row for operation '{kind}'")
             ancilla = _number(int, parts[3], lineno)

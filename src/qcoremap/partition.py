@@ -11,16 +11,24 @@ The partitioner is recursive bisection with Kernighan-Lin style refinement
 best prefix). Cut weight is the number of qubits crossing the cut, which is
 exactly the traffic the binder later pays for.
 
-Refinement keeps, per dimension pool and side, the best unlocked node by
-(gain, lowest index) across steps, in the spirit of Fiduccia-Mattheyses
-gain buckets. A step rescans a group only on the side a moved node left
-and only when that node, or a neighbour that lost gain, was the group's
-top; lazy heaps over these tops give the best feasible move and the pools
-worth searching for swaps, so a step costs time in proportion to what it
+Refinement keeps, per dimension pool and side, a lazy heap of its unlocked
+nodes by (gain, lowest index), in the spirit of Fiduccia-Mattheyses gain
+buckets: a step pushes fresh entries for the neighbours whose gain it
+changed and pops stale heads only in the groups it touched, and lazy heaps
+over the group tops give the best feasible move and the pools worth
+searching for swaps, so a step costs time in proportion to what it
 changed, not to the number of pools. It makes exactly the move or swap
-that a full rescan of every node and pool would make, so partitions do not
-depend on this bookkeeping; `tests/oracles.py` keeps the full rescan as
-the reference.
+that a full rescan of every node and pool would make; `tests/oracles.py`
+keeps the full rescan as the reference.
+
+Work that cannot change a partition is skipped. A pass ends once the cut
+its locked nodes already force reaches the cut of its best prefix, a split
+of cut 0 is not refined, and a bisection stops trying start orders at
+cut 0 and skips a start that an earlier order already made (refinement is
+deterministic and only a strictly smaller cut replaces the best). Every
+order is still drawn, so the random stream, and with it every partition,
+is the same as when each start is refined in full
+(`tests/oracles.py::reference_kway_partition`).
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 
 import numpy as np
 
@@ -181,8 +189,9 @@ class _Bisection:
         side[unconstrained[_stride_pick(nu, t)]] = True
         return side
 
-    def cut(self, side) -> int:
-        return sum(w for a, b, w in self.edges if side[a] != side[b])
+    def cut(self, side: np.ndarray) -> int:
+        s = side.tolist()
+        return sum(w for a, b, w in self.edges if s[a] != s[b])
 
     # ------------------------------------------------------------------
     def refine(self, side: np.ndarray) -> np.ndarray:
@@ -191,28 +200,36 @@ class _Bisection:
         stopping after one that gains nothing. Mutates and returns `side`.
 
         Pool p < n_dims holds dimension p's nodes, pool n_dims the
-        unconstrained ones. top[s][p] is (-gain, index) of the best unlocked
-        node of pool p on side s, exact after every step. A step changes
-        only the gains of the nodes it flips and of their neighbours: a
-        group is rescanned only when the flipped node left it as its top,
-        or its top is a neighbour whose gain fell; any other neighbour can
-        only overtake its group's top. A move's feasibility depends only on
-        its (side, pool) group, so the best move is the best top among
-        feasible groups, kept in one lazy heap per side: an entry is pushed
-        when a top changes or its group turns feasible again, and a stale
-        or infeasible entry is popped when it reaches the front. A swap
-        stays within a pool and keeps every balance; a lazy heap of the
-        pools' bounds t0 + t1 yields the pools whose tops could beat the
-        best move, and each is searched in order: its two tops if they
-        share no edge, otherwise by the sorted scan pruned with the bound
+        unconstrained ones. Each (side, pool) group keeps a lazy heap of
+        (-gain, index) entries for its unlocked nodes: a step pushes a
+        fresh entry for every unlocked neighbour of a moved node, and an
+        entry is stale once its node is locked or its gain differs. Only
+        the groups a moved node left or a touched neighbour sits in pop
+        their stale heads, so top[s][p], the best unlocked node of pool p
+        on side s, is exact after every step. A move's feasibility depends
+        only on its group, so the best move is the best top among feasible
+        groups, kept in one lazy heap per side: an entry is pushed when a
+        feasible group's top changes or a group turns feasible again, and a
+        stale or infeasible entry is popped when it reaches the front. A swap stays
+        within a pool and keeps every balance; a lazy heap of the pools'
+        bounds t0 + t1 yields the pools whose tops could beat the best
+        move, and each is searched in order: its two tops if they share no
+        edge, otherwise by the sorted scan pruned with the bound
         g(i) + g(j). Each step is the one a full rescan would pick: a move
         wins a tie with a swap, the lowest index wins among moves, pools
         are searched in order, and a swap must be strictly better to
         replace the best.
+
+        Work that cannot change the result is skipped. A split of cut 0 is
+        returned at once, as no move or swap can gain. Locked nodes stay
+        put for the rest of a pass, so every later prefix cuts at least
+        `floor`: the cut among locked nodes plus, for each unlocked node,
+        the lighter of its edge weights to locked nodes on side 0 and on
+        side 1. A pass ends once `floor` reaches the cut of its best
+        prefix, since only a strictly smaller cut would replace that
+        prefix.
         """
         m = self.m
-        if m == 0:
-            return side
         step_cap = m
         stall_cap = m if m <= 96 else max(48, m // 4)
         n_dims, dim, adj, d_lo, d_hi, pair_w = (
@@ -225,8 +242,12 @@ class _Bisection:
         empty = (math.inf, -1)  # after every (-gain, index)
         s = side.tolist()
         gain = [0] * m          # external minus internal edge weight
+        cut = 0                 # at the start of the current pass
         for a, b, w in self.edges:
-            w = w if s[a] != s[b] else -w
+            if s[a] != s[b]:
+                cut += w
+            else:
+                w = -w
             gain[a] += w
             gain[b] += w
 
@@ -239,20 +260,20 @@ class _Bisection:
         def w_direct(i, j):
             return pair_w.get((i, j) if i < j else (j, i), 0)
 
-        def front(sd, can):
+        def front(sd):
             """The heap entry of the best top among side sd's feasible groups."""
-            h = heaps[sd]
+            h, ok, row = heaps[sd], can[sd], top[sd]
             while h:
                 t = h[0]
                 p = pool_of[t[1]]
-                if can[p] and top[sd][p] == t:
+                if ok[p] and row[p] == t:
                     return t
                 heappop(h)
             return empty
 
         def push(sd, p):
             t = top[sd][p]
-            if t[1] >= 0:
+            if t[1] >= 0 and can[sd][p]:
                 heappush(heaps[sd], t)
 
         def push_pair(p):
@@ -261,23 +282,27 @@ class _Bisection:
                 heappush(pair_heap, (b, p))
 
         for _ in range(8):
+            if cut == 0:
+                break
             n1 = sum(s)
-            cnt1 = [sum(1 for i in mem if s[i]) for mem in self.members]
-            # per group: may a side-1 node leave, a side-0 node enter?
-            can1 = [cnt1[c] - 1 >= d_lo[c] for c in range(n_dims)] + [True]
-            can0 = [cnt1[c] + 1 <= d_hi[c] for c in range(n_dims)] + [True]
+            cnt1 = [sum(map(s.__getitem__, mem)) for mem in self.members]
+            # per group: may a side-0 node enter, a side-1 node leave?
+            can = ([cnt1[c] + 1 <= d_hi[c] for c in range(n_dims)] + [True],
+                   [cnt1[c] - 1 >= d_lo[c] for c in range(n_dims)] + [True])
             locked = [False] * m
-            top = [[empty] * (n_dims + 1), [empty] * (n_dims + 1)]
-            for i in range(m):
-                row, p, t = top[s[i]], pool_of[i], (-gain[i], i)
-                if t < row[p]:
-                    row[p] = t
-            heaps, pair_heap = [[], []], []
-            for p in range(n_dims + 1):
-                push(0, p)
-                push(1, p)
-                if p < n_swap:
-                    push_pair(p)
+            # per node, qubits shared with locked nodes on side 0 and side 1
+            to0 = [0] * m
+            to1 = [0] * m
+            floor = 0
+            group = [[[(-gain[i], i) for i in mem if s[i] == sd] for mem in pools] for sd in (0, 1)]
+            for h in group[0] + group[1]:
+                heapify(h)
+            top = [[h[0] if h else empty for h in row] for row in group]
+            heaps = [[t for t, ok in zip(top[sd], can[sd]) if ok and t[1] >= 0] for sd in (0, 1)]
+            pair_heap = [(t0[0] + t1[0], p) for p, (t0, t1) in enumerate(zip(top[0][:n_swap], top[1]))
+                         if t0[1] >= 0 and t1[1] >= 0]
+            for h in heaps + [pair_heap]:
+                heapify(h)
             trail: list[tuple[int, int]] = []
             cum = best_cum = 0
             best_len = 0
@@ -285,9 +310,9 @@ class _Bisection:
             for _step in range(step_cap):
                 key = empty
                 if n1 - 1 >= self.n_lo:
-                    key = front(1, can1)
+                    key = front(1)
                 if n1 + 1 <= self.n_hi:
-                    key = min(key, front(0, can0))
+                    key = min(key, front(0))
                 best = (-key[0], 0, key[1], -1) if key[1] >= 0 else None
                 bound = best[0] if best else -math.inf
                 # the pools whose tops can beat the best move, in order
@@ -330,37 +355,52 @@ class _Bisection:
                     c = dim[i]
                     if c >= 0:
                         cnt1[c] += delta
-                        on1, on0 = cnt1[c] - 1 >= d_lo[c], cnt1[c] + 1 <= d_hi[c]
-                        if on1 and not can1[c]:
-                            push(1, c)
-                        if on0 and not can0[c]:
+                        was0, was1 = can[0][c], can[1][c]
+                        can[0][c], can[1][c] = cnt1[c] + 1 <= d_hi[c], cnt1[c] - 1 >= d_lo[c]
+                        if can[0][c] and not was0:
                             push(0, c)
-                        can1[c], can0[c] = on1, on0
-                # rescan the groups a moved node left as their top and those
-                # whose top is a neighbour that lost gain, found before any
-                # top changes; other touched nodes can only overtake a top
-                dirty = {(s[u], pool_of[u]) for u in moved if top[s[u]][pool_of[u]][1] == u}
+                        if can[1][c] and not was1:
+                            push(1, c)
+                stale = {(s[u], pool_of[u]) for u in moved}   # the groups they leave
+                touched = set()
                 for u in moved:
-                    flip(u)
+                    su = s[u] = not s[u]
+                    gain[u] = -gain[u]
                     locked[u] = True
+                    # u's edges to locked nodes turn from a lighter side's
+                    # share into cut or uncut for good
+                    x, y = to0[u], to1[u]
+                    floor += (x if su else y) - (x if x < y else y)
+                    mine, other = (to1, to0) if su else (to0, to1)
+                    for v, w in adj[u]:
+                        if s[v] == su:
+                            gain[v] -= 2 * w
+                        else:
+                            gain[v] += 2 * w
+                        if not locked[v]:
+                            touched.add(v)
+                            x, y = mine[v], other[v]
+                            mine[v] = x + w
+                            if x < y:
+                                floor += (w if x + w < y else y - x)
                 trail.append((i, j))
-                touched = [v for v in {v for u in moved for v, _ in adj[u]} if not locked[v]]
                 for v in touched:
-                    t = top[s[v]][pool_of[v]]
-                    if t[1] == v and -gain[v] > t[0]:
-                        dirty.add((s[v], pool_of[v]))
-                changed = set(dirty)
-                for v in touched:
-                    sd, p = s[v], pool_of[v]
-                    if (sd, p) not in dirty and (-gain[v], v) < top[sd][p]:
-                        top[sd][p] = (-gain[v], v)
-                        changed.add((sd, p))
-                for sd, p in dirty:
-                    top[sd][p] = min(((-gain[v], v) for v in pools[p]
-                                      if s[v] == sd and not locked[v]), default=empty)
-                for sd, p in changed:
-                    push(sd, p)
-                for p in {p for _, p in changed if p < n_swap}:
+                    if not locked[v]:
+                        sd, p = s[v], pool_of[v]
+                        heappush(group[sd][p], (-gain[v], v))
+                        stale.add((sd, p))
+                swap_tops = set()
+                for sd, p in stale:
+                    h = group[sd][p]
+                    while h and (locked[h[0][1]] or gain[h[0][1]] != -h[0][0]):
+                        heappop(h)
+                    t = h[0] if h else empty
+                    if t != top[sd][p]:
+                        top[sd][p] = t
+                        push(sd, p)
+                        if p < n_swap:
+                            swap_tops.add(p)
+                for p in swap_tops:
                     push_pair(p)
                 cum += g
                 if cum > best_cum:
@@ -371,12 +411,15 @@ class _Bisection:
                     stall += 1
                     if stall > stall_cap:
                         break
+                if floor >= cut - best_cum:
+                    break
             for i, j in reversed(trail[best_len:]):
                 flip(i)
                 if j >= 0:
                     flip(j)
             if best_cum <= 0:
                 break
+            cut -= best_cum
         side[:] = s
         return side
 
@@ -428,10 +471,20 @@ def kway_partition(g: Qodg, k: int, eps: float = 0.1,
         if m <= 96:
             by_deg = sorted(range(m), key=lambda i: (-len(bis.adj[i]), i))
             orders.append(np.array(by_deg, dtype=np.int64))
+        # only a strictly smaller cut replaces the best, and refine is
+        # deterministic: stop at cut 0 and skip a start an earlier order made
         best_side = None
         best_cut = None
+        starts = set()
         for order in orders:
-            side = bis.refine(bis.initial(order))
+            if best_cut == 0:
+                break
+            side = bis.initial(order)
+            start = side.tobytes()
+            if start in starts:
+                continue
+            starts.add(start)
+            side = bis.refine(side)
             cut = bis.cut(side)
             if best_cut is None or cut < best_cut:
                 best_cut = cut

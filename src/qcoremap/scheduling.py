@@ -203,6 +203,9 @@ def verify_schedule(sched: MappedSchedule, g: Qodg, partition: Partition,
     """
     violations: list[str] = []
     n = len(g)
+    dur = lev.dur_levels.tolist()
+    route = lev.route_levels.tolist()
+    core = [binding.part_to_core[p] for p in partition.assignment.tolist()]
     by_node: dict[int, ScheduledOp] = {}
     for op in sched.ops:
         if not 0 <= op.node < n:
@@ -218,18 +221,15 @@ def verify_schedule(sched: MappedSchedule, g: Qodg, partition: Partition,
             continue
         if op.start < 1:
             violations.append(f"op {i} starts before level 1")
-        if op.dur_levels != lev.dur_levels[i]:
+        if op.dur_levels != dur[i]:
             violations.append(f"op {i} lasts {op.dur_levels} levels, "
-                              f"quantized duration is {lev.dur_levels[i]}")
-
-    def core_of(i: int) -> int:
-        return binding.part_to_core[int(partition.assignment[i])]
+                              f"quantized duration is {dur[i]}")
 
     for e in g.edges:
-        if e.src not in by_node or e.dst not in by_node:
+        a, b = by_node.get(e.src), by_node.get(e.dst)
+        if a is None or b is None:
             continue
-        a, b = by_node[e.src], by_node[e.dst]
-        lag = int(lev.route_levels[core_of(e.src), core_of(e.dst)])
+        lag = route[core[e.src]][core[e.dst]]
         if a.start + a.dur_levels + lag > b.start:
             violations.append(
                 f"dependency {e.src}->{e.dst} violated: "
@@ -238,7 +238,7 @@ def verify_schedule(sched: MappedSchedule, g: Qodg, partition: Partition,
 
     ops = list(by_node.values())
     for op in ops:
-        want_core = core_of(op.node)
+        want_core = core[op.node]
         if op.core != want_core:
             violations.append(f"op {op.node} on core {op.core}, bound to {want_core}")
     if ops:

@@ -332,6 +332,56 @@ def reference_refine(bis, side: np.ndarray, max_passes=8) -> np.ndarray:
     return side
 
 
+def reference_kway_partition(g, k, eps=0.1, seed=0) -> np.ndarray:
+    """kway_partition's recursive bisection, refining every start order with
+    `reference_refine` and skipping none: not a zero-cut start, not a start
+    an earlier order already made, not the orders after a cut of 0. Each
+    bisection's quotas and initial splits come from the production
+    `_Bisection`, which this does not check. Returns the assignment."""
+    from qcoremap.partition import _Bisection, _bound_pair, assign_weight_vectors, decimal_fraction
+
+    n = len(g)
+    ann = assign_weight_vectors(g, k)
+    eps_f = decimal_fraction(eps)
+    dim_lo, dim_hi = {}, {}
+    for c in range(ann.n_con):
+        dim_lo[c], dim_hi[c] = _bound_pair(int(np.sum(ann.node_dim == c)), k, eps_f)
+    _, node_hi = _bound_pair(n, k, eps_f)
+    assignment = np.full(n, -1, dtype=np.int64)
+    rng = np.random.default_rng(seed)
+
+    def bisect(nodes, edges, kappa, offset):
+        if kappa == 1 or len(nodes) == 0:
+            assignment[nodes] = offset
+            return
+        k1 = (kappa + 1) // 2
+        k2 = kappa - k1
+        bis = _Bisection(ann.node_dim[nodes], edges, k1, k2, dim_lo, dim_hi, node_hi)
+        m = len(nodes)
+        orders = [np.arange(m)]
+        if m <= 512:
+            orders.append(np.arange(m)[::-1].copy())
+            orders.append(rng.permutation(m))
+        if m <= 96:
+            by_deg = sorted(range(m), key=lambda i: (-len(bis.adj[i]), i))
+            orders.append(np.array(by_deg, dtype=np.int64))
+        best_side = None
+        best_cut = None
+        for order in orders:
+            side = reference_refine(bis, bis.initial(order))
+            cut = sum(w for a, b, w in edges if side[a] != side[b])
+            if best_cut is None or cut < best_cut:
+                best_cut = cut
+                best_side = side.copy()
+        for half, kh, off in ((best_side, k1, offset), (~best_side, k2, offset + k1)):
+            on, rank = half.tolist(), (np.cumsum(half) - 1).tolist()
+            bisect(nodes[half], [(rank[a], rank[b], w) for a, b, w in edges if on[a] and on[b]],
+                   kh, off)
+
+    bisect(np.arange(n, dtype=np.int64), [(e.src, e.dst, e.weight) for e in g.edges], k, 0)
+    return assignment
+
+
 
 # ----------------------------------------------------------------------
 # assignment (binding) optimum by permutation enumeration

@@ -97,6 +97,17 @@ def test_malformed_profile_number_exits_two(netlist, tmp_path, capsys, old, new)
     _assert_one_line(capsys.readouterr().err, "configuration error: profile line ")
 
 
+def test_profile_row_for_an_unknown_operation_exits_two(netlist, tmp_path, capsys):
+    # a misspelt kind would be a row no gate reads, yet its ancilla would
+    # still set the largest operation that every budget is checked against
+    qec = tmp_path / "typo.qec"
+    qec.write_text(STEANE_TEXT + "op Tdag ancilla 150 delay_us 900 transversal 0\n", encoding="utf-8")
+    assert main(["map", netlist, "--qec", str(qec), "-k", "2", "-A", "400"]) == 2
+    lineno = len(STEANE_TEXT.splitlines()) + 1
+    _assert_one_line(capsys.readouterr().err,
+                     f"configuration error: profile line {lineno}: unknown operation 'Tdag'")
+
+
 @pytest.mark.parametrize("option,value", [
     ("--cycle-time", "nan"),
     ("--cycle-time", "inf"),

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ops_to_netlist, random_ops
-from oracles import best_two_way_cut, reference_refine
+from oracles import best_two_way_cut, reference_kway_partition, reference_refine
 
 from qcoremap import (
     assign_weight_vectors,
@@ -117,6 +117,67 @@ def test_refine_equals_full_rescan_at_corpus_scale(seed):
         _assert_replays(bis, rng)
 
 
+def _skip_graph(seed, max_ops, max_qubits):
+    """A leveled random kernel whose bisections often start at cut 0 or
+    repeat a start: a quarter are edge-free (one H per qubit), the rest
+    random ops; then up to 8 isolated T gates, each on a qubit of its own."""
+    rng = np.random.default_rng(seed)
+    n_qubits = int(rng.integers(1, max_qubits + 1))
+    n_isolated = int(rng.integers(0, 9))
+    if rng.random() < 0.25:
+        ops = [("H", (q,)) for q in range(n_qubits)]
+    else:
+        ops = random_ops(rng, int(rng.integers(1, max_ops + 1)), n_qubits)
+    ops += [("T", (n_qubits + q,)) for q in range(n_isolated)]
+    text = ops_to_netlist(ops, n_qubits + n_isolated)
+    return level_graph(build_qodg(parse_program(text).kernels["_top0"], bundled_profile("steane")))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([2, 3, 4, 8, 9]),
+       part_seed=st.integers(0, 3))
+def test_kway_equals_refining_every_start(seed, k, part_seed):
+    g = _skip_graph(seed, 60, 12)
+    got = kway_partition(g, k, seed=part_seed).assignment
+    assert got.tolist() == reference_kway_partition(g, k, seed=part_seed).tolist()
+
+
+def _starts_skipped(g, k):
+    """(zero-cut starts, repeated starts) among kway_partition's initial
+    splits, counted per bisection."""
+    count = {"zero": 0, "repeat": 0}
+    seen = {}
+    real_initial = _Bisection.initial
+
+    def initial(bis, order):
+        side = real_initial(bis, order)
+        starts = seen.setdefault(bis, set())   # holds bis, so no id is reused
+        count["repeat"] += side.tobytes() in starts
+        count["zero"] += bis.cut(side) == 0
+        starts.add(side.tobytes())
+        return side
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Bisection, "initial", initial)
+        kway_partition(g, k)
+    return count["zero"], count["repeat"]
+
+
+def test_kway_equals_refining_every_start_on_graphs_with_skipped_starts():
+    # fixed graphs that surely hold what the skips act on
+    graphs = [_skip_graph(seed, 60, 12) for seed in range(6)]
+    assert any(len(g) > 1 and not g.edges for g in graphs)
+    assert any(g.edges and any(not g.preds[i] and not g.succs[i] for i in range(len(g)))
+               for g in graphs)
+    zero = repeat = 0
+    for g in graphs:
+        for k in (2, 3, 4, 8, 9):
+            assert kway_partition(g, k).assignment.tolist() == reference_kway_partition(g, k).tolist()
+            z, r = _starts_skipped(g, k)
+            zero, repeat = zero + z, repeat + r
+    assert zero > 0 and repeat > 0
+
+
 def _hand_bisection(node_dim, edges, dim_lo, dim_hi, node_hi):
     """A k1 = k2 = 1 _Bisection over nodes 0..m-1 with the given quotas."""
     return _Bisection(np.array(node_dim), edges, 1, 1, dim_lo, dim_hi, node_hi)
@@ -142,6 +203,19 @@ def test_refine_reenters_a_group_whose_moves_turn_feasible_again():
     side = np.array([False, True, False, True, True, True])
     assert reference_refine(bis, side.copy()).tolist() == [False, True, False, True, True, False]
     assert bis.refine(side).tolist() == [False, True, False, True, True, False]
+
+
+@pytest.mark.parametrize("start", [[True, False, True, False, True], [False] * 5])
+def test_refine_returns_a_zero_cut_split_unchanged(start):
+    # components {0, 2, 4} and {1, 3}; dimension 0 = {0, 1} keeps one node
+    # on side 1. The first split is feasible, the second breaks both the
+    # node count and the quota; neither cuts an edge, so no step can gain
+    bis = _hand_bisection([0, 0, -1, -1, -1], [(0, 2, 2), (2, 4, 1), (1, 3, 3)],
+                          {0: 1}, {0: 1}, 3)
+    side = np.array(start)
+    assert bis.cut(side) == 0
+    assert reference_refine(bis, side.copy()).tolist() == start
+    assert bis.refine(side) is side and side.tolist() == start
 
 
 @pytest.mark.parametrize("n, eps, d_lo, d_hi", [(41, 0.1, 18, 23), (40, 0.3, 14, 26)])
