@@ -29,7 +29,7 @@ from .fabric import (
     grid_layout,
 )
 from .ir import KernelCatalog, KernelProgram, identify_kernels
-from .partition import Partition, WeightAnnotation, assign_weight_vectors, kway_partition
+from .partition import Partition, kway_partition
 from .qodg import Qodg, build_qodg, level_graph
 from .scheduling import (
     LevelizedDurations,
@@ -50,7 +50,6 @@ ASSUMPTIONS = (
 @dataclass
 class KernelMapping:
     qodg: Qodg
-    weights: WeightAnnotation
     partition: Partition
     geometry: CoreGeometry
     dmat: np.ndarray            # k x k routing delays, us
@@ -79,8 +78,7 @@ def _prepare_kernel(kernel, profile, params, cfg, eps, seed) -> KernelMapping:
     timings["qodg"] = (time.perf_counter() - t0) * 1e3
 
     t0 = time.perf_counter()
-    ann = assign_weight_vectors(g, params.core_count)
-    part = kway_partition(g, params.core_count, eps, ann, seed)
+    part = kway_partition(g, params.core_count, eps, seed)
     timings["partition"] = (time.perf_counter() - t0) * 1e3
 
     t0 = time.perf_counter()
@@ -92,7 +90,7 @@ def _prepare_kernel(kernel, profile, params, cfg, eps, seed) -> KernelMapping:
     t0 = time.perf_counter()
     lev = quantize(g, dmat, cfg)
     timings["quantize"] = (time.perf_counter() - t0) * 1e3
-    return KernelMapping(g, ann, part, geom, dmat, bnd, lev, timings)
+    return KernelMapping(g, part, geom, dmat, bnd, lev, timings)
 
 
 def _prepare_program(program: KernelProgram, profile: QecProfile, params: FabricParams,
@@ -186,7 +184,7 @@ def render_report(report: MappingReport, include_timings: bool = False) -> str:
     out.append("KERNELS")
     for rep_id, km in sorted(report.kernel_maps.items()):
         sched = km.schedule
-        out.append(f"  kernel {rep_id}: ops={len(km.qodg)} constraints={km.weights.n_con}")
+        out.append(f"  kernel {rep_id}: ops={len(km.qodg)} constraints={km.partition.n_con}")
         out.append("    partition:")
         for part_idx, members in enumerate(km.partition.parts()):
             ids = " ".join(str(m) for m in members)

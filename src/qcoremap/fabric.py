@@ -257,12 +257,8 @@ def delay_matrix(geom: CoreGeometry, params: FabricParams, layout: np.ndarray) -
     if max(intra, hops * inter_unit) > _FLOAT_MAX:
         raise ConfigError("routing delays exceed the largest float; "
                           "beta_pmd, alpha_int or gamma_mem is too large")
-    d = np.empty((k, k), dtype=np.float64)
-    for x in range(k):
-        for y in range(k):
-            if x == y:
-                d[x, y] = float(intra)
-            else:
-                steps = abs(int(layout[x, 0] - layout[y, 0])) + abs(int(layout[x, 1] - layout[y, 1]))
-                d[x, y] = float(steps * inter_unit)
+    # one exact value per hop count, indexed by each pair's Manhattan distance
+    per_hop = np.array([float(s * inter_unit) for s in range(hops + 1)])
+    d = per_hop[np.abs(layout[:, None, :] - layout[None, :, :]).sum(axis=2)]
+    np.fill_diagonal(d, float(intra))
     return d

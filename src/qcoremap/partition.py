@@ -5,6 +5,9 @@ balance dimension, one-hot style: every node at such a level carries weight
 1 in that dimension and 0 elsewhere. Balancing each dimension across parts
 forces same-level operations apart, so the parts can actually run in
 parallel; plain size balance alone tends to stack a level into one part.
+`kway_partition` assigns the dimensions itself, so one invariant holds in
+every bisection: a dimension is one ASAP level, and every edge joins two
+different levels, so no edge joins two nodes of one dimension.
 
 The partitioner is recursive bisection with Kernighan-Lin style refinement
 (single moves plus same-dimension swaps, with locking and rollback to the
@@ -14,12 +17,14 @@ exactly the traffic the binder later pays for.
 Refinement keeps, per dimension pool and side, a lazy heap of its unlocked
 nodes by (gain, lowest index), in the spirit of Fiduccia-Mattheyses gain
 buckets: a step pushes fresh entries for the neighbours whose gain it
-changed and pops stale heads only in the groups it touched, and lazy heaps
-over the group tops give the best feasible move and the pools worth
-searching for swaps, so a step costs time in proportion to what it
-changed, not to the number of pools. It makes exactly the move or swap
-that a full rescan of every node and pool would make; `tests/oracles.py`
-keeps the full rescan as the reference.
+changed and pops stale heads only in the groups it touched. By the
+invariant a dimension pool's best swap is its two tops, so lazy heaps over
+the group tops give both the best feasible move and the best dimension
+swap, and a step costs time in proportion to what it changed, not to the
+number of pools. Only the unconstrained pool can hold an edge; it alone is
+searched pair by pair. Refinement makes exactly the move or swap that a
+full rescan of every node and pool would make; `tests/oracles.py` keeps
+the full rescan as the reference.
 
 Work that cannot change a partition is skipped. A pass ends once the cut
 its locked nodes already force reaches the cut of its best prefix, a split
@@ -68,6 +73,7 @@ class Partition:
     assignment: np.ndarray
     k: int
     traffic: np.ndarray
+    n_con: int              # one-hot level dimensions balanced
 
     def parts(self) -> list[list[int]]:
         out: list[list[int]] = [[] for _ in range(self.k)]
@@ -129,6 +135,7 @@ class _Bisection:
 
     node_dim holds each node's global dimension (-1 for none) and edges are
     (a, b, qubits) over the local indices 0..m-1; parallel edges add up.
+    No edge may join two nodes of one dimension.
     """
 
     def __init__(self, node_dim, edges, k1, k2, dim_lo, dim_hi, node_hi):
@@ -137,11 +144,6 @@ class _Bisection:
         self.k2 = k2
         global_dim = node_dim.tolist()
         self.edges = edges
-        # qubits shared by each local pair (i, j), i < j, as Python ints
-        self.pair_w: dict[tuple[int, int], int] = {}
-        for a, b, w in edges:
-            key = (a, b) if a < b else (b, a)
-            self.pair_w[key] = self.pair_w.get(key, 0) + w
         # relabel the dimensions present here to 0..D-1 for list indexing
         dims_global = sorted({d for d in global_dim if d >= 0})
         remap = {c: j for j, c in enumerate(dims_global)}
@@ -210,15 +212,20 @@ class _Bisection:
         only on its group, so the best move is the best top among feasible
         groups, kept in one lazy heap per side: an entry is pushed when a
         feasible group's top changes or a group turns feasible again, and a
-        stale or infeasible entry is popped when it reaches the front. A swap stays
-        within a pool and keeps every balance; a lazy heap of the pools'
-        bounds t0 + t1 yields the pools whose tops could beat the best
-        move, and each is searched in order: its two tops if they share no
-        edge, otherwise by the sorted scan pruned with the bound
-        g(i) + g(j). Each step is the one a full rescan would pick: a move
-        wins a tie with a swap, the lowest index wins among moves, pools
-        are searched in order, and a swap must be strictly better to
-        replace the best.
+        stale or infeasible entry is popped when it reaches the front.
+
+        A swap stays within a pool and keeps every balance. A dimension is
+        one level and a level holds no edge, so swapping a dimension
+        pool's two tops gains t0 + t1 and no pair of the pool gains more.
+        One lazy heap holds these exact values, pushed whenever a top
+        changes; its front, once stale entries are dropped, is the best
+        dimension swap. Only the unconstrained pool can hold an edge, so
+        it alone is searched pair by pair, when it has at most 64 nodes,
+        by the sorted scan pruned with the bound g(i) + g(j). Each step is
+        the one a full rescan would pick: a move wins a tie with a swap,
+        the lowest index wins among moves and the lowest pool among
+        swaps, and the unconstrained pool, searched last, must be strictly
+        better to replace the best.
 
         Work that cannot change the result is skipped. A split of cut 0 is
         returned at once, as no move or swap can gain. Locked nodes stay
@@ -232,13 +239,11 @@ class _Bisection:
         m = self.m
         step_cap = m
         stall_cap = m if m <= 96 else max(48, m // 4)
-        n_dims, dim, adj, d_lo, d_hi, pair_w = (
-            self.n_dims, self.dim, self.adj, self.d_lo, self.d_hi, self.pair_w)
+        n_dims, dim, adj, d_lo, d_hi = self.n_dims, self.dim, self.adj, self.d_lo, self.d_hi
         pools = self.members + [self.unconstrained]
         pool_of = [c if c >= 0 else n_dims for c in dim]
-        # pools p < n_swap are searched for swaps: the unconstrained one too
-        # when it is small
-        n_swap = n_dims + 1 if 0 < len(self.unconstrained) ** 2 <= 4096 else n_dims
+        free = self.unconstrained
+        scan_free = len(free) <= 64
         empty = (math.inf, -1)  # after every (-gain, index)
         s = side.tolist()
         gain = [0] * m          # external minus internal edge weight
@@ -258,7 +263,9 @@ class _Bisection:
                 gain[j] += -2 * w if s[j] == si else 2 * w
 
         def w_direct(i, j):
-            return pair_w.get((i, j) if i < j else (j, i), 0)
+            # a QODG node has at most four neighbours: one before and one
+            # after it on each of its qubits
+            return sum(w for v, w in adj[i] if v == j)
 
         def front(sd):
             """The heap entry of the best top among side sd's feasible groups."""
@@ -275,11 +282,6 @@ class _Bisection:
             t = top[sd][p]
             if t[1] >= 0 and can[sd][p]:
                 heappush(heaps[sd], t)
-
-        def push_pair(p):
-            b = top[0][p][0] + top[1][p][0]
-            if b < math.inf:
-                heappush(pair_heap, (b, p))
 
         for _ in range(8):
             if cut == 0:
@@ -299,7 +301,8 @@ class _Bisection:
                 heapify(h)
             top = [[h[0] if h else empty for h in row] for row in group]
             heaps = [[t for t, ok in zip(top[sd], can[sd]) if ok and t[1] >= 0] for sd in (0, 1)]
-            pair_heap = [(t0[0] + t1[0], p) for p, (t0, t1) in enumerate(zip(top[0][:n_swap], top[1]))
+            # (-gain of swapping the two tops, p) per dimension pool p
+            pair_heap = [(t0[0] + t1[0], p) for p, (t0, t1) in enumerate(zip(top[0][:n_dims], top[1]))
                          if t0[1] >= 0 and t1[1] >= 0]
             for h in heaps + [pair_heap]:
                 heapify(h)
@@ -314,25 +317,18 @@ class _Bisection:
                 if n1 + 1 <= self.n_hi:
                     key = min(key, front(0))
                 best = (-key[0], 0, key[1], -1) if key[1] >= 0 else None
-                bound = best[0] if best else -math.inf
-                # the pools whose tops can beat the best move, in order
-                entered = set()
-                while pair_heap and -pair_heap[0][0] > bound:
-                    b, p = heappop(pair_heap)
+                while pair_heap:
+                    b, p = pair_heap[0]
                     if top[0][p][0] + top[1][p][0] == b:
-                        entered.add(p)
-                for p in sorted(entered):
-                    push_pair(p)
-                    i, j = top[1][p][1], top[0][p][1]
-                    if not w_direct(i, j):
-                        # no pair of this pool can beat its two tops
-                        if best is None or gain[i] + gain[j] > best[0]:
-                            best = (gain[i] + gain[j], 1, i, j)
-                        continue
-                    # a pool whose tops fail the best breaks out at its first pair
-                    ones = sorted((i for i in pools[p] if s[i] and not locked[i]),
+                        if best is None or -b > best[0]:
+                            best = (-b, 1, top[1][p][1], top[0][p][1])
+                        break
+                    heappop(pair_heap)
+                b = top[0][n_dims][0] + top[1][n_dims][0]
+                if scan_free and b < math.inf and (best is None or -b > best[0]):
+                    ones = sorted((i for i in free if s[i] and not locked[i]),
                                   key=lambda i: (-gain[i], i))
-                    twos = sorted((i for i in pools[p] if not s[i] and not locked[i]),
+                    twos = sorted((i for i in free if not s[i] and not locked[i]),
                                   key=lambda i: (-gain[i], i))
                     top2 = gain[twos[0]]
                     for i in ones:
@@ -389,7 +385,6 @@ class _Bisection:
                         sd, p = s[v], pool_of[v]
                         heappush(group[sd][p], (-gain[v], v))
                         stale.add((sd, p))
-                swap_tops = set()
                 for sd, p in stale:
                     h = group[sd][p]
                     while h and (locked[h[0][1]] or gain[h[0][1]] != -h[0][0]):
@@ -398,10 +393,9 @@ class _Bisection:
                     if t != top[sd][p]:
                         top[sd][p] = t
                         push(sd, p)
-                        if p < n_swap:
-                            swap_tops.add(p)
-                for p in swap_tops:
-                    push_pair(p)
+                        b = top[0][p][0] + top[1][p][0]
+                        if p < n_dims and b < math.inf:
+                            heappush(pair_heap, (b, p))
                 cum += g
                 if cum > best_cum:
                     best_cum = cum
@@ -424,10 +418,14 @@ class _Bisection:
         return side
 
 
-def kway_partition(g: Qodg, k: int, eps: float = 0.1,
-                   weights: WeightAnnotation | None = None, seed: int = 0) -> Partition:
-    """Split the graph into k parts balancing node count and every one-hot
-    level dimension, minimizing the qubit weight of cut edges.
+def kway_partition(g: Qodg, k: int, eps: float = 0.1, seed: int = 0) -> Partition:
+    """Split the leveled graph into k parts balancing node count and every
+    one-hot level dimension, minimizing the qubit weight of cut edges.
+
+    The dimensions come from `assign_weight_vectors(g, k)`, one per wide
+    level. A level holds no edge, so no edge joins two nodes of one
+    dimension, which lets refinement take a dimension's best swap from its
+    two best nodes without searching pairs.
 
     Deterministic for fixed inputs and seed. The seed only varies one of the
     refinement restarts; all tie-breaks favor the lowest node index. eps is
@@ -441,7 +439,7 @@ def kway_partition(g: Qodg, k: int, eps: float = 0.1,
         raise ConfigError("balance tolerance must satisfy 0 < eps < 1")
     if seed < 0:
         raise ConfigError("seed must be >= 0")
-    ann = weights if weights is not None else assign_weight_vectors(g, k)
+    ann = assign_weight_vectors(g, k)
 
     eps_f = decimal_fraction(eps)
     dim_lo = {}
@@ -493,4 +491,4 @@ def kway_partition(g: Qodg, k: int, eps: float = 0.1,
         bisect(nodes[~best_side], _side_edges(edges, ~best_side), k2, offset + k1)
 
     bisect(np.arange(n, dtype=np.int64), [(e.src, e.dst, e.weight) for e in g.edges], k, 0)
-    return Partition(assignment, k, traffic_matrix(g, assignment, k))
+    return Partition(assignment, k, traffic_matrix(g, assignment, k), ann.n_con)

@@ -8,6 +8,7 @@ from oracles import exact_delays, exact_geometry
 
 from qcoremap import (
     ConfigError,
+    CoreGeometry,
     FabricParams,
     build_qodg,
     compute_dmax,
@@ -191,6 +192,22 @@ def test_grid_layouts():
     assert grid_layout(2).tolist() == [[0, 0], [0, 1]]
     assert grid_layout(5).tolist() == [[0, 0], [0, 1], [0, 2], [1, 0], [1, 1]]
     assert grid_layout(1).tolist() == [[0, 0]]
+
+
+@pytest.mark.parametrize("layout", [grid_layout(k) for k in range(1, 17)]
+                         + [np.array([[0, 0], [2, 5], [3, 1], [0, 4], [7, 7], [2, 0]])])
+def test_delays_equal_the_exact_products(layout):
+    # each entry is one rounding of an exact product; with a 29-cell hop
+    # at beta 0.7, s times the rounded one-hop delay is off for s = 3, 5, 6
+    geo = CoreGeometry(7, 13, 26, 5, 3)
+    params = FabricParams(len(layout), 1000, beta_pmd=0.7, alpha_int=3, gamma_mem=0.3)
+    d = delay_matrix(geo, params, layout)
+    assert d.shape == (len(layout), len(layout))
+    for x, (ax, ay) in enumerate(layout.tolist()):
+        for y, (bx, by) in enumerate(layout.tolist()):
+            inter, intra = exact_delays(13, 26, 5, 3, alpha_int=3, beta=0.7, gamma=0.3,
+                                        manhattan=abs(ax - bx) + abs(ay - by))
+            assert d[x, y] == (intra if x == y else inter)
 
 
 def test_inter_core_delay_linear_in_distance(steane):

@@ -32,7 +32,8 @@ def _random_bisection(seed, m, n_dims, p_free, max_w, k1, k2, eps=0.1):
     """A _Bisection over m of N >= m nodes, given the edges with both ends
     among its m nodes, relabelled to local indices. Nodes outside the subset
     always carry one of n_dims dimensions, so p_free=1 gives a subset with
-    none. Edges have weights 1..max_w, and some pairs get parallel edges."""
+    none. Edges have weights 1..max_w, and some pairs get parallel edges;
+    no edge joins two nodes of one dimension, as in a leveled graph."""
     rng = np.random.default_rng(seed)
     n = m + int(rng.integers(0, 12))
     nodes = np.sort(rng.choice(n, size=m, replace=False)).astype(np.int64)
@@ -45,7 +46,9 @@ def _random_bisection(seed, m, n_dims, p_free, max_w, k1, k2, eps=0.1):
     if n >= 2:
         for _ in range(int(rng.integers(0, 2 * n + 1))):
             a, b = sorted(int(x) for x in rng.choice(n, size=2, replace=False))
-            edge_list.append((a, b, int(rng.integers(1, max_w + 1))))
+            w = int(rng.integers(1, max_w + 1))
+            if node_dim[a] < 0 or node_dim[a] != node_dim[b]:
+                edge_list.append((a, b, w))
         if edge_list:
             picks = rng.integers(0, len(edge_list), size=len(edge_list) // 4)
             edge_list += [edge_list[int(i)] for i in picks]
@@ -142,6 +145,23 @@ def test_kway_equals_refining_every_start(seed, k, part_seed):
     assert got.tolist() == reference_kway_partition(g, k, seed=part_seed).tolist()
 
 
+@pytest.mark.parametrize("k", [2, 3, 4, 8, 9])
+def test_no_bisection_holds_an_edge_inside_a_dimension(k):
+    # refine takes a dimension's best swap from its two tops, which is
+    # exact only while no edge joins two nodes of one dimension
+    profile = bundled_profile("steane")
+    graphs = [level_graph(build_qodg(parse_program(text).kernels[name], profile))
+              for text in (random_netlist(300, 16, 3), walk_step_netlist(8, 3, reps=2))
+              for name in sorted(parse_program(text).kernels)]
+    graphs += [_skip_graph(seed, 60, 12) for seed in range(6)]
+    dims = 0
+    for g in graphs:
+        for bis in _kway_bisections(g, k):
+            assert all(bis.dim[a] < 0 or bis.dim[a] != bis.dim[b] for a, b, _ in bis.edges)
+            dims += bis.n_dims
+    assert dims > 0
+
+
 def _starts_skipped(g, k):
     """(zero-cut starts, repeated starts) among kway_partition's initial
     splits, counted per bisection."""
@@ -184,10 +204,10 @@ def _hand_bisection(node_dim, edges, dim_lo, dim_hi, node_hi):
 
 
 def test_refine_runs_the_sorted_scan_when_the_pool_tops_share_an_edge():
-    # one dimension held at two nodes per side, so only swaps are legal. The
-    # tops 0 and 2 share an edge of 3: swapping them gains 3 + 3 - 6 = 0,
-    # while (0, 3) gains 5 and ends with a cut of 0
-    bis = _hand_bisection([0, 0, 0, 0], [(0, 2, 3), (1, 3, 2)], {0: 2}, {0: 2}, 4)
+    # four unconstrained nodes held at two per side, so only swaps are
+    # legal. The tops 0 and 2 share an edge of 3: swapping them gains
+    # 3 + 3 - 6 = 0, while (0, 3) gains 5 and ends with a cut of 0
+    bis = _hand_bisection([-1, -1, -1, -1], [(0, 2, 3), (1, 3, 2)], {}, {}, 2)
     side = np.array([True, True, False, False])
     assert reference_refine(bis, side.copy()).tolist() == [False, True, False, True]
     assert bis.refine(side).tolist() == [False, True, False, True]

@@ -93,7 +93,8 @@ def _bound_schedule(seed, k, cycle, zero_delay_kind=None):
     n_qubits = int(rng.integers(2, 6))
     text = ops_to_netlist(random_ops(rng, int(rng.integers(1, 30)), n_qubits), n_qubits)
     g = level_graph(build_qodg(parse_program(text).kernels["_top0"], profile))
-    part = Partition(rng.integers(0, k, size=len(g)), k, np.zeros((k, k), dtype=np.int64))
+    part = Partition(rng.integers(0, k, size=len(g)), k, np.zeros((k, k), dtype=np.int64),
+                     n_con=0)
     binding = Binding(tuple(int(c) for c in rng.permutation(k)), 0.0, True)
     dmat = rng.choice(_DELAYS_US, size=(k, k))
     lev = quantize(g, dmat, ScheduleConfig(cycle))
@@ -131,7 +132,7 @@ def test_zero_level_op_between_two_ops():
     rows = {"H": OpCost(5, 0.0, True), "T": OpCost(9, 2.0, True)}
     g = level_graph(build_qodg(parse_program("qubit a\nT a\nH a\nT a\n").kernels["_top0"],
                                QecProfile("zero", 7, rows)))
-    part = Partition(np.zeros(3, dtype=np.int64), 1, np.zeros((1, 1), dtype=np.int64))
+    part = Partition(np.zeros(3, dtype=np.int64), 1, np.zeros((1, 1), dtype=np.int64), n_con=0)
     binding = Binding((0,), 0.0, True)
     lev = quantize(g, np.array([[1.0]]), ScheduleConfig(1.0))
     sched = list_schedule(g, part, binding, 9, lev)
@@ -214,7 +215,7 @@ def test_verifier_flags_a_duplicated_op(walk_map):
 def test_verifier_reports_an_op_not_in_the_graph(uniform_profile):
     g = level_graph(build_qodg(parse_program("qubit a\nH a\nT a\n").kernels["_top0"],
                                uniform_profile))
-    part = Partition(np.zeros(2, dtype=np.int64), 1, np.zeros((1, 1), dtype=np.int64))
+    part = Partition(np.zeros(2, dtype=np.int64), 1, np.zeros((1, 1), dtype=np.int64), n_con=0)
     binding = Binding((0,), 0.0, True)
     lev = quantize(g, np.array([[1.0]]), ScheduleConfig(1.0))
     sched = list_schedule(g, part, binding, 10, lev)
