@@ -14,17 +14,22 @@ The partitioner is recursive bisection with Kernighan-Lin style refinement
 best prefix). Cut weight is the number of qubits crossing the cut, which is
 exactly the traffic the binder later pays for.
 
-Refinement keeps, per dimension pool and side, a lazy heap of its unlocked
-nodes by (gain, lowest index), in the spirit of Fiduccia-Mattheyses gain
-buckets: a step pushes fresh entries for the neighbours whose gain it
-changed and pops stale heads only in the groups it touched. By the
-invariant a dimension pool's best swap is its two tops, so lazy heaps over
-the group tops give both the best feasible move and the best dimension
-swap, and a step costs time in proportion to what it changed, not to the
-number of pools. Only the unconstrained pool can hold an edge; it alone is
-searched pair by pair. Refinement makes exactly the move or swap that a
-full rescan of every node and pool would make; `tests/oracles.py` keeps
-the full rescan as the reference.
+Refinement keeps, per dimension pool and side, a heap of its unlocked
+nodes in the spirit of Fiduccia-Mattheyses gain buckets. Every heap entry
+is one int that packs a gain above an index, (-gain << SH) | index with SH
+the bits an index needs, so entries order exactly as the (-gain, index)
+tuples of a full rescan: the highest gain first, then the lowest index.
+The heaps are repaired lazily: every unlocked node keeps an entry no
+larger than its current key, so a step pushes an entry only for a
+neighbour whose gain rose, and cleans only a group whose top moved or lost
+gain; the first entry that equals its node's key is then the exact top.
+By the invariant a dimension pool's best swap is its two tops, so two more
+heaps over the group tops give the best feasible move and the best
+dimension swap, and a step costs time in proportion to what it changed,
+not to the number of pools. Only the unconstrained pool can hold an edge;
+it alone is searched pair by pair. Refinement makes exactly the move or
+swap that a full rescan of every node and pool would make;
+`tests/oracles.py` keeps the full rescan as the reference.
 
 Work that cannot change a partition is skipped. A pass ends once the cut
 its locked nodes already force reaches the cut of its best prefix, a split
@@ -38,10 +43,9 @@ is the same as when each start is refined in full
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
+from heapq import heapify, heappop, heappush, heapreplace
 
 import numpy as np
 
@@ -103,23 +107,15 @@ def _bound_pair(total: int, k: int, eps: Fraction) -> tuple[int, int]:
     # lower bound rounded down; upper bound is the largest integer count not
     # exceeding ceil(total/k)*(1+eps), which keeps wide levels genuinely
     # spread (a 2-node level at k=2 must split 1/1 under eps=0.1)
-    lo = math.floor(Fraction(total // k) * (1 - eps))
-    hi = math.floor(Fraction(-(-total // k)) * (1 + eps))
-    return lo, hi
+    num, den = eps.numerator, eps.denominator
+    return (total // k) * (den - num) // den, -(-total // k) * (den + num) // den
 
 
-def _stride_pick(m: int, t: int) -> np.ndarray:
-    """Boolean mask selecting t of m positions, evenly spread."""
-    mask = np.zeros(m, dtype=bool)
-    if t <= 0:
-        return mask
-    prev = 0
-    for i in range(m):
-        cur = (i + 1) * t // m
-        if cur > prev:
-            mask[i] = True
-        prev = cur
-    return mask
+def _stride_pick(m: int, t: int) -> list[int]:
+    """The positions i in 0..m-1 at which (i + 1) * t // m steps up: t of
+    them for 0 <= t <= m, evenly spread. The x-th is the least i with
+    (i + 1) * t >= (x + 1) * m."""
+    return [((x + 1) * m - 1) // t for x in range(t)]
 
 
 def _side_edges(edges, side: np.ndarray):
@@ -163,24 +159,30 @@ class _Bisection:
         for a, b, w in self.edges:
             self.adj[a].append((b, w))
             self.adj[b].append((a, w))
+        # for refine, whose node keys are (-gain << SH) | index with
+        # SH = m.bit_length(): each neighbour with the key change of a gain
+        # change of 2w
+        sh = self.m.bit_length()
+        self.adj_dk = [[(v, w, (2 * w) << sh) for v, w in row] for row in self.adj]
 
     # ------------------------------------------------------------------
     def initial(self, order: np.ndarray) -> np.ndarray:
         """Quota-respecting initial side assignment along the given order."""
         kappa = self.k1 + self.k2
-        side = np.zeros(self.m, dtype=bool)
+        side = [False] * self.m
         # one bucket per dimension in order, the last (dim -1) unconstrained
         buckets: list[list[int]] = [[] for _ in range(self.n_dims + 1)]
         for i in order.tolist():
             buckets[self.dim[i]].append(i)
         assigned1 = 0
         for c in range(self.n_dims):
-            members = np.array(buckets[c], dtype=np.int64)
+            members = buckets[c]
             t = (self.q[c] * self.k1 + kappa // 2) // kappa
             t = min(max(t, self.d_lo[c]), self.d_hi[c])
-            side[members[_stride_pick(len(members), t)]] = True
+            for x in _stride_pick(len(members), t):
+                side[members[x]] = True
             assigned1 += t
-        unconstrained = np.array(buckets[-1], dtype=np.int64)
+        unconstrained = buckets[-1]
         nu = len(unconstrained)
         goal = (self.m * self.k1 + kappa // 2) // kappa - assigned1
         lo = max(0, self.n_lo - assigned1)
@@ -188,8 +190,9 @@ class _Bisection:
         if lo > hi:        # dimension quotas win over node-count balance
             lo = hi = max(0, min(nu, goal))
         t = min(max(goal, lo), hi)
-        side[unconstrained[_stride_pick(nu, t)]] = True
-        return side
+        for x in _stride_pick(nu, t):
+            side[unconstrained[x]] = True
+        return np.array(side, dtype=bool)
 
     def cut(self, side: np.ndarray) -> int:
         s = side.tolist()
@@ -202,30 +205,46 @@ class _Bisection:
         stopping after one that gains nothing. Mutates and returns `side`.
 
         Pool p < n_dims holds dimension p's nodes, pool n_dims the
-        unconstrained ones. Each (side, pool) group keeps a lazy heap of
-        (-gain, index) entries for its unlocked nodes: a step pushes a
-        fresh entry for every unlocked neighbour of a moved node, and an
-        entry is stale once its node is locked or its gain differs. Only
-        the groups a moved node left or a touched neighbour sits in pop
-        their stale heads, so top[s][p], the best unlocked node of pool p
-        on side s, is exact after every step. A move's feasibility depends
-        only on its group, so the best move is the best top among feasible
-        groups, kept in one lazy heap per side: an entry is pushed when a
-        feasible group's top changes or a group turns feasible again, and a
-        stale or infeasible entry is popped when it reaches the front.
+        unconstrained ones. Every heap entry is one int. A node's key is
+        (-gain << SH) | index with SH = m.bit_length(), so keys order as
+        (-gain, index) tuples: the highest gain first, then the lowest
+        index. EMPTY, above every node key, marks a group with no
+        unlocked node.
+
+        Group 2p + s holds pool p's nodes on side s. It keeps a heap of
+        its unlocked nodes' keys, and top[2p + s] holds its exact best key,
+        and key[i] holds node i's current key in place of its gain. The heaps
+        are repaired lazily: every unlocked node keeps an entry no larger
+        than its current key. A neighbour whose gain rises gets a new
+        entry, and becomes the top if it beats it; one whose gain falls
+        gets none. Only a group whose top moved or whose top's gain fell
+        is cleaned. Cleaning drops entries of locked nodes and older
+        entries above a node's key, and re-pushes an entry below its
+        node's key at that key. The first entry that equals its node's key
+        is then no larger than any unlocked node's key, so it is the exact
+        top.
+
+        A move's feasibility depends only on its group, so the best move
+        is the best top among feasible groups. One heap per side holds the
+        group tops under the same rule: a top is pushed when it falls or
+        its group turns feasible again, and at the front an entry of an
+        infeasible group or one above its group's top is dropped, and one
+        below it is re-pushed at the top. The valid front is the best
+        feasible top.
 
         A swap stays within a pool and keeps every balance. A dimension is
         one level and a level holds no edge, so swapping a dimension
-        pool's two tops gains t0 + t1 and no pair of the pool gains more.
-        One lazy heap holds these exact values, pushed whenever a top
-        changes; its front, once stale entries are dropped, is the best
-        dimension swap. Only the unconstrained pool can hold an edge, so
-        it alone is searched pair by pair, when it has at most 64 nodes,
-        by the sorted scan pruned with the bound g(i) + g(j). Each step is
-        the one a full rescan would pick: a move wins a tie with a swap,
-        the lowest index wins among moves and the lowest pool among
-        swaps, and the unconstrained pool, searched last, must be strictly
-        better to replace the best.
+        pool's two tops gains g0 + g1 and no pair of the pool gains more.
+        One heap holds these values as (-(g0 + g1) << SP) | p, pushed when
+        a pool's value falls and repaired at the front in the same way;
+        its valid front is the best dimension swap. Only the unconstrained
+        pool can hold an edge, so it alone is searched pair by pair, when
+        it has at most 64 nodes, by the sorted scan pruned with the bound
+        g(i) + g(j). Each step is the one a full rescan would pick: a move
+        wins a tie with a swap, the lowest index wins among moves and the
+        lowest pool among swaps, and the unconstrained pool, searched
+        last, must be strictly better to replace the best. The keys order
+        exactly as the tuples of that rescan, so the steps are the same.
 
         Work that cannot change the result is skipped. A split of cut 0 is
         returned at once, as no move or swap can gain. Locked nodes stay
@@ -239,163 +258,211 @@ class _Bisection:
         m = self.m
         step_cap = m
         stall_cap = m if m <= 96 else max(48, m // 4)
-        n_dims, dim, adj, d_lo, d_hi = self.n_dims, self.dim, self.adj, self.d_lo, self.d_hi
+        n_dims, dim, d_lo, d_hi = self.n_dims, self.dim, self.d_lo, self.d_hi
+        n_lo, n_hi = self.n_lo, self.n_hi
         pools = self.members + [self.unconstrained]
-        pool_of = [c if c >= 0 else n_dims for c in dim]
+        # group 2p + s holds pool p's nodes on side s
+        base = [2 * c if c >= 0 else 2 * n_dims for c in dim]
+        qf = 2 * n_dims         # the unconstrained pool's side-0 group
         free = self.unconstrained
         scan_free = len(free) <= 64
-        empty = (math.inf, -1)  # after every (-gain, index)
-        s = side.tolist()
+        SH = m.bit_length()
+        MASK = (1 << SH) - 1
+        SP = n_dims.bit_length()
+        PMASK = (1 << SP) - 1
+        s = side.astype(np.int8).tolist()
         gain = [0] * m          # external minus internal edge weight
         cut = 0                 # at the start of the current pass
+        total = 0
         for a, b, w in self.edges:
+            total += w
             if s[a] != s[b]:
                 cut += w
             else:
                 w = -w
             gain[a] += w
             gain[b] += w
-
-        def flip(i):
-            si = s[i] = not s[i]
-            gain[i] = -gain[i]
-            for j, w in adj[i]:
-                gain[j] += -2 * w if s[j] == si else 2 * w
+        EMPTY = (total + 1) << SH   # no gain exceeds the total edge weight
+        NONE = -total - 1           # below every step's gain: no step cuts more than total
+        # gains are kept as keys: a gain change of 2w moves a key by
+        # (2w) << SH, and negating the gain of u maps its key to 2u - key
+        key = [(-x << SH) | i for i, x in enumerate(gain)]
+        adj = self.adj_dk
 
         def w_direct(i, j):
             # a QODG node has at most four neighbours: one before and one
             # after it on each of its qubits
-            return sum(w for v, w in adj[i] if v == j)
-
-        def front(sd):
-            """The heap entry of the best top among side sd's feasible groups."""
-            h, ok, row = heaps[sd], can[sd], top[sd]
-            while h:
-                t = h[0]
-                p = pool_of[t[1]]
-                if ok[p] and row[p] == t:
-                    return t
-                heappop(h)
-            return empty
-
-        def push(sd, p):
-            t = top[sd][p]
-            if t[1] >= 0 and can[sd][p]:
-                heappush(heaps[sd], t)
+            return sum(w for v, w, _ in adj[i] if v == j)
 
         for _ in range(8):
             if cut == 0:
                 break
+            group = []
+            for mem in pools:
+                h0, h1 = [], []
+                for i in mem:
+                    (h1 if s[i] else h0).append(key[i])
+                heapify(h0)
+                heapify(h1)
+                group += (h0, h1)
             n1 = sum(s)
-            cnt1 = [sum(map(s.__getitem__, mem)) for mem in self.members]
-            # per group: may a side-0 node enter, a side-1 node leave?
-            can = ([cnt1[c] + 1 <= d_hi[c] for c in range(n_dims)] + [True],
-                   [cnt1[c] - 1 >= d_lo[c] for c in range(n_dims)] + [True])
+            cnt1 = [len(h) for h in group[1:qf:2]]
+            # per group: may a side-0 node enter side 1, a side-1 node leave?
+            can = [True] * (qf + 2)
+            can[0:qf:2] = [x + 1 <= hi for x, hi in zip(cnt1, d_hi)]
+            can[1:qf:2] = [x - 1 >= lo for x, lo in zip(cnt1, d_lo)]
             locked = [False] * m
             # per node, qubits shared with locked nodes on side 0 and side 1
             to0 = [0] * m
             to1 = [0] * m
             floor = 0
-            group = [[[(-gain[i], i) for i in mem if s[i] == sd] for mem in pools] for sd in (0, 1)]
-            for h in group[0] + group[1]:
+            top = [h[0] if h else EMPTY for h in group]
+            heaps = ([t for t, ok in zip(top[0::2], can[0::2]) if ok and t != EMPTY],
+                     [t for t, ok in zip(top[1::2], can[1::2]) if ok and t != EMPTY])
+            pair_heap = [(((t0 >> SH) + (t1 >> SH)) << SP) | p
+                         for p, t0, t1 in zip(range(n_dims), top[0:qf:2], top[1:qf:2])
+                         if t0 != EMPTY and t1 != EMPTY]
+            for h in heaps + (pair_heap,):
                 heapify(h)
-            top = [[h[0] if h else empty for h in row] for row in group]
-            heaps = [[t for t, ok in zip(top[sd], can[sd]) if ok and t[1] >= 0] for sd in (0, 1)]
-            # (-gain of swapping the two tops, p) per dimension pool p
-            pair_heap = [(t0[0] + t1[0], p) for p, (t0, t1) in enumerate(zip(top[0][:n_dims], top[1]))
-                         if t0[1] >= 0 and t1[1] >= 0]
-            for h in heaps + [pair_heap]:
-                heapify(h)
-            trail: list[tuple[int, int]] = []
+            # the sides a move may leave, by [side 1 may lose][side 0 may lose]
+            side1, side0 = (heaps[1], 1), (heaps[0], 0)
+            sides = (((), (side0,)), ((side1,), (side1, side0)))
+            trail: list[int] = []  # the moved nodes, in step order
             cum = best_cum = 0
             best_len = 0
             stall = 0
             for _step in range(step_cap):
-                key = empty
-                if n1 - 1 >= self.n_lo:
-                    key = front(1)
-                if n1 + 1 <= self.n_hi:
-                    key = min(key, front(0))
-                best = (-key[0], 0, key[1], -1) if key[1] >= 0 else None
-                while pair_heap:
-                    b, p = pair_heap[0]
-                    if top[0][p][0] + top[1][p][0] == b:
-                        if best is None or -b > best[0]:
-                            best = (-b, 1, top[1][p][1], top[0][p][1])
-                        break
-                    heappop(pair_heap)
-                b = top[0][n_dims][0] + top[1][n_dims][0]
-                if scan_free and b < math.inf and (best is None or -b > best[0]):
-                    ones = sorted((i for i in free if s[i] and not locked[i]),
-                                  key=lambda i: (-gain[i], i))
-                    twos = sorted((i for i in free if not s[i] and not locked[i]),
-                                  key=lambda i: (-gain[i], i))
-                    top2 = gain[twos[0]]
-                    for i in ones:
-                        if best is not None and gain[i] + top2 <= best[0]:
+                kmin = EMPTY
+                for h, sd in sides[n1 - 1 >= n_lo][n1 + 1 <= n_hi]:
+                    while h:
+                        e = h[0]
+                        q = base[e & MASK] + sd
+                        t = top[q]
+                        if t == e and can[q]:
+                            if e < kmin:
+                                kmin = e
                             break
-                        for j in twos:
-                            ub = gain[i] + gain[j]
-                            if best is not None and ub <= best[0]:
+                        if t < e or t == EMPTY or not can[q]:
+                            heappop(h)
+                        else:
+                            heapreplace(h, t)
+                # the best step so far: gain g, and i alone or i swapped with j
+                if kmin != EMPTY:
+                    g, i, j = -(kmin >> SH), kmin & MASK, -1
+                else:
+                    g, i, j = NONE, -1, -1
+                while pair_heap:
+                    e = pair_heap[0]
+                    p = e & PMASK
+                    t0, t1 = top[2 * p], top[2 * p + 1]
+                    if t0 == EMPTY or t1 == EMPTY:
+                        heappop(pair_heap)
+                        continue
+                    v = (((t0 >> SH) + (t1 >> SH)) << SP) | p
+                    if v == e:
+                        if -(e >> SP) > g:
+                            g, i, j = -(e >> SP), t1 & MASK, t0 & MASK
+                        break
+                    if v < e:
+                        heappop(pair_heap)
+                    else:
+                        heapreplace(pair_heap, v)
+                if scan_free:
+                    t0, t1 = top[qf], top[qf + 1]
+                    if t0 != EMPTY and t1 != EMPTY and -((t0 >> SH) + (t1 >> SH)) > g:
+                        ones = sorted((x for x in free if s[x] and not locked[x]), key=key.__getitem__)
+                        twos = sorted((x for x in free if not s[x] and not locked[x]), key=key.__getitem__)
+                        top2 = -(key[twos[0]] >> SH)
+                        for a in ones:
+                            ga = -(key[a] >> SH)
+                            if ga + top2 <= g:
                                 break
-                            g = ub - 2 * w_direct(i, j)
-                            if best is None or g > best[0]:
-                                best = (g, 1, i, j)
-                if best is None:
+                            for b in twos:
+                                ub = ga - (key[b] >> SH)
+                                if ub <= g:
+                                    break
+                                ub -= 2 * w_direct(a, b)
+                                if ub > g:
+                                    g, i, j = ub, a, b
+                if i < 0:
                     break
-                g, kind, i, j = best
-                moved = (i,) if kind == 0 else (i, j)
-                if kind == 0:
+                reopen = -1         # the group this step lets move again
+                if j < 0:
+                    moved = (i,)
                     delta = -1 if s[i] else 1
                     n1 += delta
                     c = dim[i]
                     if c >= 0:
                         cnt1[c] += delta
-                        was0, was1 = can[0][c], can[1][c]
-                        can[0][c], can[1][c] = cnt1[c] + 1 <= d_hi[c], cnt1[c] - 1 >= d_lo[c]
-                        if can[0][c] and not was0:
-                            push(0, c)
-                        if can[1][c] and not was1:
-                            push(1, c)
-                stale = {(s[u], pool_of[u]) for u in moved}   # the groups they leave
-                touched = set()
+                        ok0, ok1 = cnt1[c] + 1 <= d_hi[c], cnt1[c] - 1 >= d_lo[c]
+                        q = 2 * c
+                        if ok0 and not can[q]:
+                            reopen = q
+                        elif ok1 and not can[q + 1]:
+                            reopen = q + 1
+                        can[q], can[q + 1] = ok0, ok1
+                else:
+                    moved = (i, j)
+                clean = []          # the groups whose top left or fell
                 for u in moved:
-                    su = s[u] = not s[u]
-                    gain[u] = -gain[u]
+                    su = s[u] = 1 - s[u]
+                    key[u] = 2 * u - key[u]
                     locked[u] = True
                     # u's edges to locked nodes turn from a lighter side's
                     # share into cut or uncut for good
                     x, y = to0[u], to1[u]
                     floor += (x if su else y) - (x if x < y else y)
                     mine, other = (to1, to0) if su else (to0, to1)
-                    for v, w in adj[u]:
-                        if s[v] == su:
-                            gain[v] -= 2 * w
+                    for v, w, dk in adj[u]:
+                        sd = s[v]
+                        if locked[v]:
+                            key[v] += dk if sd == su else -dk
+                            continue
+                        x, y = mine[v], other[v]
+                        mine[v] = x + w
+                        if x < y:
+                            floor += (w if x + w < y else y - x)
+                        q = base[v] + sd
+                        kv = key[v]
+                        if sd == su:   # a fall: only a top that fell needs cleaning
+                            key[v] = kv + dk
+                            if top[q] == kv:
+                                clean.append(q)
+                            continue
+                        # a rise: a new entry, and a new top if it beats it
+                        kv = key[v] = kv - dk
+                        heappush(group[q], kv)
+                        if kv < top[q]:
+                            top[q] = kv
+                            if can[q]:
+                                heappush(heaps[sd], kv)
+                            t = top[q ^ 1]
+                            if q < qf and t != EMPTY:
+                                heappush(pair_heap, (((kv >> SH) + (t >> SH)) << SP) | (q >> 1))
+                trail += moved
+                for u in moved:
+                    q = base[u] + 1 - s[u]
+                    if top[q] & MASK == u:
+                        clean.append(q)
+                # cleaning never lowers a top, so it pushes nothing
+                for q in clean:
+                    h = group[q]
+                    while h:
+                        e = h[0]
+                        v = e & MASK
+                        if locked[v]:
+                            heappop(h)
+                            continue
+                        kv = key[v]
+                        if e == kv:
+                            break
+                        if e < kv:
+                            heapreplace(h, kv)
                         else:
-                            gain[v] += 2 * w
-                        if not locked[v]:
-                            touched.add(v)
-                            x, y = mine[v], other[v]
-                            mine[v] = x + w
-                            if x < y:
-                                floor += (w if x + w < y else y - x)
-                trail.append((i, j))
-                for v in touched:
-                    if not locked[v]:
-                        sd, p = s[v], pool_of[v]
-                        heappush(group[sd][p], (-gain[v], v))
-                        stale.add((sd, p))
-                for sd, p in stale:
-                    h = group[sd][p]
-                    while h and (locked[h[0][1]] or gain[h[0][1]] != -h[0][0]):
-                        heappop(h)
-                    t = h[0] if h else empty
-                    if t != top[sd][p]:
-                        top[sd][p] = t
-                        push(sd, p)
-                        b = top[0][p][0] + top[1][p][0]
-                        if p < n_dims and b < math.inf:
-                            heappush(pair_heap, (b, p))
+                            heappop(h)
+                    top[q] = h[0] if h else EMPTY
+                if reopen >= 0 and top[reopen] != EMPTY:
+                    heappush(heaps[reopen & 1], top[reopen])
                 cum += g
                 if cum > best_cum:
                     best_cum = cum
@@ -407,10 +474,13 @@ class _Bisection:
                         break
                 if floor >= cut - best_cum:
                     break
-            for i, j in reversed(trail[best_len:]):
-                flip(i)
-                if j >= 0:
-                    flip(j)
+            # gains are a function of the sides, so the order of undoing
+            # does not matter
+            for u in trail[best_len:]:
+                su = s[u] = 1 - s[u]
+                key[u] = 2 * u - key[u]
+                for v, _, dk in adj[u]:
+                    key[v] += dk if s[v] == su else -dk
             if best_cum <= 0:
                 break
             cut -= best_cum
@@ -444,8 +514,8 @@ def kway_partition(g: Qodg, k: int, eps: float = 0.1, seed: int = 0) -> Partitio
     eps_f = decimal_fraction(eps)
     dim_lo = {}
     dim_hi = {}
-    for c in range(ann.n_con):
-        total = int(np.sum(ann.node_dim == c))
+    totals = np.bincount(ann.node_dim + 1, minlength=ann.n_con + 1)[1:]
+    for c, total in enumerate(totals.tolist()):
         dim_lo[c], dim_hi[c] = _bound_pair(total, k, eps_f)
     _, node_hi = _bound_pair(n, k, eps_f)
 

@@ -3,6 +3,8 @@ full-rescan reference step for step, kway_partition keeps its snapshot
 assignments, and results respect the documented balance bounds and the
 exhaustive two-way optimum."""
 
+import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -74,7 +76,7 @@ def _assert_replays(bis, rng):
 
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(0, 90), n_dims=st.integers(0, 8),
-       p_free=st.sampled_from([0.0, 0.3, 1.0]), max_w=st.sampled_from([1, 3]),
+       p_free=st.sampled_from([0.0, 0.3, 1.0]), max_w=st.sampled_from([1, 3, 8]),
        k1=st.integers(1, 3), k2=st.integers(1, 3))
 def test_refine_equals_full_rescan(seed, m, n_dims, p_free, max_w, k1, k2):
     _assert_replays(*_random_bisection(seed, m, n_dims, p_free, max_w, k1, k2))
@@ -250,6 +252,16 @@ def test_balance_bounds_read_eps_as_its_decimal(steane, n, eps, d_lo, d_hi):
     assert (top.d_lo, top.d_hi) == ([d_lo], [d_hi])
 
 
+@pytest.mark.parametrize("eps", [0.05, 0.1, 0.3, 0.333])
+def test_bound_pair_equals_the_fraction_formula(eps):
+    e = decimal_fraction(eps)
+    for total in range(201):
+        for k in range(1, 17):
+            want = (math.floor(Fraction(total // k) * (1 - e)),
+                    math.floor(Fraction(-(-total // k)) * (1 + e)))
+            assert _bound_pair(total, k, e) == want
+
+
 def _partition_corpus():
     """(name, leveled graph) for every kernel of a few fixed netlists."""
     profile = bundled_profile("steane")
@@ -258,6 +270,12 @@ def _partition_corpus():
         "random250": random_netlist(250, 16, seed=1),
         "random400": random_netlist(400, 32, seed=2),
         "walk": walk_step_netlist(8, 3, reps=2),
+        # benchmark-size kernels: the first map-random input (3 start
+        # orders, stall cap 125), one above 512 ops (a single start order)
+        # and the budget-sweep kernel shape
+        "random500": random_netlist(500, 32, seed=14),
+        "random600": random_netlist(600, 32, seed=3),
+        "walk16": walk_step_netlist(16, 4, seed=5),
     }
     for name, text in texts.items():
         program = parse_program(text)
