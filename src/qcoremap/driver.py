@@ -35,6 +35,7 @@ from .scheduling import (
     LevelizedDurations,
     MappedSchedule,
     ScheduleConfig,
+    ancilla_peak,
     list_schedule,
     quantize,
     verify_schedule,
@@ -248,6 +249,19 @@ def sweep_budget(program: KernelProgram, profile: QecProfile, params: FabricPara
     ancilla-sharing trade-off; only the scheduler's per-core budget varies
     between points. The saturation point -- the smallest budget
     whose latency matches an unbounded-budget schedule -- is reported.
+
+    The unbounded point is scheduled first, once per stage instance, and
+    each kernel's schedule there gives its ancilla peak, the most ancilla
+    one core holds at once. At a budget point, a kernel whose peak is at
+    most the per-core budget reuses its unbounded schedule; every other
+    kernel is scheduled and verified at that budget. The reuse is exact:
+    the priority order does not depend on the budget, and by induction over
+    it every op finds its window, plus its own ancilla, within the final
+    unbounded profile, so within the peak, and starts where it started
+    without a bound. A feasible budget is at least every op's ancilla, so a
+    reused point hides no error `list_schedule` would raise. A point's
+    `runtime_ms` covers the schedules made for it, and for a point that
+    reuses every kernel only the summation.
     """
     cfg = cfg or ScheduleConfig()
     feasible = []
@@ -267,10 +281,21 @@ def sweep_budget(program: KernelProgram, profile: QecProfile, params: FabricPara
     pinned = feasible[-1] if feasible else params
     catalog, prepared = _prepare_program(program, profile, pinned, cfg, eps, seed)
 
+    unbounded = int(max(int(km.qodg.ancilla.sum()) for km in prepared.values())) + 1
+    unbounded_sched: dict[str, MappedSchedule] = {}
+
+    def unbounded_latency(rep: str) -> float:
+        unbounded_sched[rep] = _schedule_kernel(prepared[rep], unbounded)
+        return unbounded_sched[rep].latency_us
+
+    sat_latency = _program_latency(catalog, unbounded_latency)
+    peak = {rep: ancilla_peak(sched, prepared[rep].qodg)
+            for rep, sched in unbounded_sched.items()}
+
     def program_latency(budget_per_core: int) -> float:
-        return _program_latency(
-            catalog, lambda rep: _schedule_kernel(prepared[rep], budget_per_core).latency_us
-        )
+        return _program_latency(catalog, lambda rep: (
+            unbounded_sched[rep] if peak[rep] <= budget_per_core
+            else _schedule_kernel(prepared[rep], budget_per_core)).latency_us)
 
     points = []
     for pa in feasible:
@@ -278,8 +303,6 @@ def sweep_budget(program: KernelProgram, profile: QecProfile, params: FabricPara
         lat = program_latency(pa.budget_per_core)
         points.append(SweepPoint(pa.ancilla_budget, lat, (time.perf_counter() - t0) * 1e3))
 
-    unbounded = int(max(int(km.qodg.ancilla.sum()) for km in prepared.values())) + 1
-    sat_latency = program_latency(unbounded)
     sat_value = next((pt.axis_value for pt in points if pt.latency_us == sat_latency), None)
     return SweepResult(points, skipped, sat_value, sat_latency)
 

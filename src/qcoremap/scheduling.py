@@ -24,6 +24,19 @@ matrix diagonal); cross-core dependencies pay the mesh transfer delay.
 The schedule holds each operation's core, start and duration, its makespan
 and its latency; per-core ancilla use and inter-core transfers follow from
 those operations and the bound partition.
+
+A budget at or above a schedule's ancilla peak (`ancilla_peak`, the most
+ancilla one core holds at once, read from the schedule's operations with
+the verifier's event sweep) changes nothing in that schedule. The priority
+order does not depend on the budget, and if the schedule at budget B never
+holds more than b <= B ancilla on a core, then scheduling at b places every
+operation where B placed it. By induction over the order, the operation's
+window at B in the partial timetable, plus its own ancilla, is at most the
+final profile at B, so at most b: it fits there, and the smaller budget
+admits no earlier start. Below the peak the schedule at B breaks the
+budget, so the threshold is tight.
+`sweep_budget` schedules each kernel at an unbounded budget and reuses that
+schedule at every budget from its peak up.
 """
 
 from __future__ import annotations
@@ -31,6 +44,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import add
+
 import numpy as np
 
 from .errors import ConfigError
@@ -91,16 +106,6 @@ class MappedSchedule:
     latency_us: float
 
 
-def _split(bp: list[int], use: list[int], z: int) -> int:
-    """Index of the timetable segment starting at level z, splitting the
-    segment that holds z if no breakpoint is there yet."""
-    i = bisect_left(bp, z)
-    if i == len(bp) or bp[i] != z:
-        bp.insert(i, z)
-        use.insert(i, use[i - 1])
-    return i
-
-
 def _schedule_impl(order, dur, anc, core, preds, route, n_cores, budget):
     """Greedy earliest-feasible-start scheduling in a fixed priority order.
 
@@ -140,8 +145,22 @@ def _schedule_impl(order, dur, anc, core, preds, route, n_cores, budget):
                 break
             i += 1
         start[x] = s
-        for j in range(_split(bp, use, s), _split(bp, use, s + t)):
-            use[j] += anc[x]
+        # split the timetable at s + t, then at s, and add the op's ancilla
+        # between them. Segment i is the window's last: bp[i] < s + t <=
+        # bp[i + 1]. The walk may have moved i past the segment holding s,
+        # so s is searched from the front.
+        j = i + 1
+        if j == len(bp) or bp[j] != s + t:
+            bp.insert(j, s + t)
+            use.insert(j, use[i])
+        h = bisect_left(bp, s)
+        if bp[h] != s:
+            bp.insert(h, s)
+            use.insert(h, use[h - 1])
+            j += 1
+        a = anc[x]
+        for m in range(h, j):
+            use[m] += a
     return start
 
 
@@ -178,15 +197,42 @@ def list_schedule(g: Qodg, partition: Partition, binding: Binding,
         order, dur, anc.tolist(), core, g.preds,
         lev.route_levels.tolist(), len(binding.part_to_core), budget_per_core,
     )
-    ops = tuple(
-        ScheduledOp(i, op.kind, c, s, d)
-        for i, (op, c, s, d) in enumerate(zip(g.ops, core, start, dur))
-    )
-    makespan = max(op.start + op.dur_levels - 1 for op in ops)
+    ops = tuple(map(ScheduledOp, range(n), [op.kind for op in g.ops], core, start, dur))
+    makespan = max(map(add, start, dur)) - 1
     if makespan >= _LEVEL_LIMIT:
         raise ConfigError(f"the schedule at cycle time {lev.cycle_time:g} us "
                           "ends beyond 2**63 - 2 levels")
     return MappedSchedule(ops, makespan, makespan * lev.cycle_time)
+
+
+def _ancilla_segments(ops, ancilla: np.ndarray):
+    """Per-core ancilla profile of a non-empty sequence of ops: the core,
+    start level and ancilla in use of every segment, as int64 arrays in
+    (core, level) order. Each segment runs to the next one's start; a
+    core's last segment holds 0. An op of zero levels adds nothing."""
+    # +ancilla at each op's start, -ancilla at its end, swept in (core,
+    # level) order; each core's events sum to zero, so one running sum
+    # serves all cores, read after the last event at each level
+    cores = np.array([op.core for op in ops], dtype=np.int64)
+    lo = np.array([op.start for op in ops], dtype=np.int64)
+    hi = lo + np.maximum([op.dur_levels for op in ops], 0)
+    anc = ancilla[[op.node for op in ops]]
+    ev_core = np.concatenate([cores, cores])
+    ev_level = np.concatenate([lo, hi])
+    order = np.lexsort((ev_level, ev_core))
+    ev_core, ev_level = ev_core[order], ev_level[order]
+    in_use = np.cumsum(np.concatenate([anc, -anc])[order])
+    last = np.ones(len(order), dtype=bool)
+    last[:-1] = (ev_core[1:] != ev_core[:-1]) | (ev_level[1:] != ev_level[:-1])
+    return ev_core[last], ev_level[last], in_use[last]
+
+
+def ancilla_peak(sched: MappedSchedule, g: Qodg) -> int:
+    """The most ancilla any one core holds at any level of the schedule (0
+    for an empty one), read from its ops and g's ancilla counts alone."""
+    if not sched.ops:
+        return 0
+    return int(_ancilla_segments(sched.ops, g.ancilla)[2].max())
 
 
 def verify_schedule(sched: MappedSchedule, g: Qodg, partition: Partition,
@@ -198,24 +244,28 @@ def verify_schedule(sched: MappedSchedule, g: Qodg, partition: Partition,
     duration; precedence with routing lags; per-core per-level ancilla
     occupancy within budget; and the makespan covering every op's finish.
     An op whose node is not in the graph is reported and left out of the
-    other checks. Violations are returned as human-readable strings; empty
-    list means pass.
+    other checks; of a node scheduled more than once, the last op is
+    checked. Violations are returned as human-readable strings; empty list
+    means pass.
     """
     violations: list[str] = []
     n = len(g)
     dur = lev.dur_levels.tolist()
     route = lev.route_levels.tolist()
     core = [binding.part_to_core[p] for p in partition.assignment.tolist()]
-    by_node: dict[int, ScheduledOp] = {}
+    by_node: list[ScheduledOp | None] = [None] * n
+    seen: list[int] = []    # scheduled nodes, in order of first appearance
     for op in sched.ops:
-        if not 0 <= op.node < n:
-            violations.append(f"op {op.node} not in graph")
+        v = op.node
+        if not 0 <= v < n:
+            violations.append(f"op {v} not in graph")
             continue
-        if op.node in by_node:
-            violations.append(f"op {op.node} scheduled more than once")
-        by_node[op.node] = op
-    for i in range(n):
-        op = by_node.get(i)
+        if by_node[v] is None:
+            seen.append(v)
+        else:
+            violations.append(f"op {v} scheduled more than once")
+        by_node[v] = op
+    for i, op in enumerate(by_node):
         if op is None:
             violations.append(f"op {i} never scheduled")
             continue
@@ -226,7 +276,7 @@ def verify_schedule(sched: MappedSchedule, g: Qodg, partition: Partition,
                               f"quantized duration is {dur[i]}")
 
     for e in g.edges:
-        a, b = by_node.get(e.src), by_node.get(e.dst)
+        a, b = by_node[e.src], by_node[e.dst]
         if a is None or b is None:
             continue
         lag = route[core[e.src]][core[e.dst]]
@@ -236,27 +286,13 @@ def verify_schedule(sched: MappedSchedule, g: Qodg, partition: Partition,
                 f"{a.start}+{a.dur_levels}+{lag} > {b.start}"
             )
 
-    ops = list(by_node.values())
+    ops = [by_node[v] for v in seen]
     for op in ops:
         want_core = core[op.node]
         if op.core != want_core:
             violations.append(f"op {op.node} on core {op.core}, bound to {want_core}")
     if ops:
-        # +ancilla at each op's start, -ancilla at its end, swept in (core,
-        # level) order; each core's events sum to zero, so one running sum
-        # serves all cores, read after the last event at each level
-        cores = np.array([op.core for op in ops], dtype=np.int64)
-        lo = np.array([op.start for op in ops], dtype=np.int64)
-        hi = lo + np.maximum([op.dur_levels for op in ops], 0)
-        anc = g.ancilla[[op.node for op in ops]]
-        ev_core = np.concatenate([cores, cores])
-        ev_level = np.concatenate([lo, hi])
-        order = np.lexsort((ev_level, ev_core))
-        ev_core, ev_level = ev_core[order], ev_level[order]
-        in_use = np.cumsum(np.concatenate([anc, -anc])[order])
-        last = np.ones(len(order), dtype=bool)
-        last[:-1] = (ev_core[1:] != ev_core[:-1]) | (ev_level[1:] != ev_level[:-1])
-        seg_core, seg_start, seg_use = ev_core[last], ev_level[last], in_use[last]
+        seg_core, seg_start, seg_use = _ancilla_segments(ops, g.ancilla)
         # an over-budget segment is never its core's last, which holds 0
         for j in np.flatnonzero(seg_use > budget_per_core):
             for z in range(seg_start[j], seg_start[j + 1]):

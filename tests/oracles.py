@@ -639,3 +639,42 @@ def exact_delays(alpha_compute, alpha_core, alpha_cache, alpha_mem,
     inter = manhattan * (alpha_core + alpha_int) * Fraction(beta)
     intra = (alpha_compute + alpha_cache + Fraction(gamma) * alpha_mem) / 2 * Fraction(beta)
     return float(inter), float(intra)
+
+
+# ----------------------------------------------------------------------
+# budget sweep with every stage instance scheduled at every budget
+
+def reference_sweep_budget(program, profile, params, budgets, cfg=None, eps=0.1, seed=0):
+    """`driver.sweep_budget` without schedule reuse: every stage instance is
+    scheduled and verified at every feasible budget and at the unbounded
+    one, through the driver's own preparation and scheduling steps."""
+    from dataclasses import replace
+
+    from qcoremap import ConfigError, ScheduleConfig, driver
+
+    cfg = cfg or ScheduleConfig()
+    feasible, skipped = [], []
+    for a in sorted(set(int(a) for a in budgets)):
+        try:
+            pa = replace(params, ancilla_budget=a)
+            pa.validate_against(profile)
+        except ConfigError as exc:
+            skipped.append((a, str(exc)))
+        else:
+            feasible.append(pa)
+    if not feasible and program.sequence.stages:
+        return driver.SweepResult([], skipped)
+    pinned = feasible[-1] if feasible else params
+    catalog, prepared = driver._prepare_program(program, profile, pinned, cfg, eps, seed)
+
+    def program_latency(budget_per_core):
+        return float(sum(
+            count * driver._schedule_kernel(prepared[rep], budget_per_core).latency_us
+            for _, rep, count in catalog.stage_instances))
+
+    points = [driver.SweepPoint(pa.ancilla_budget, program_latency(pa.budget_per_core), 0.0)
+              for pa in feasible]
+    unbounded = max(int(km.qodg.ancilla.sum()) for km in prepared.values()) + 1
+    sat_latency = program_latency(unbounded)
+    sat_value = next((pt.axis_value for pt in points if pt.latency_us == sat_latency), None)
+    return driver.SweepResult(points, skipped, sat_value, sat_latency)

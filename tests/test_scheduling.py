@@ -25,7 +25,7 @@ from qcoremap.binding import Binding
 from qcoremap.fabric import OpCost, QecProfile
 from qcoremap.generators import walk_step_netlist
 from qcoremap.partition import Partition
-from qcoremap.scheduling import ScheduledOp
+from qcoremap.scheduling import MappedSchedule, ScheduledOp, ancilla_peak
 
 
 def _one_op_graph(delay_us):
@@ -120,6 +120,31 @@ def _assert_matches_levelwise(g, core, lev, budget, sched, k):
 def test_timetable_starts_equal_the_levelwise_scan(seed, k, cycle):
     g, core, lev, budget, sched = _bound_schedule(seed, k, cycle)
     _assert_matches_levelwise(g, core, lev, budget, sched, k)
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([1, 2, 4]),
+       cycle=st.sampled_from([0.1, 0.3, 1.0, 10.0]))
+def test_budgets_from_the_ancilla_peak_up_keep_the_unbounded_schedule(seed, k, cycle):
+    g, core, lev, largest, _ = _bound_schedule(seed, k, cycle)
+    # node v on core core[v], as a partition bound by the identity
+    part = Partition(np.array(core), k, np.zeros((k, k), dtype=np.int64), n_con=0)
+    binding = Binding(tuple(range(k)), 0.0, True)
+    unbounded = int(g.ancilla.sum()) + 1
+    free = list_schedule(g, part, binding, unbounded, lev)
+    peak = ancilla_peak(free, g)
+    _, occ = levelwise_reference(g.preds, lev.dur_levels.tolist(), g.ancilla.tolist(), core,
+                                 lev.route_levels.tolist(), k, unbounded)
+    assert peak == int(occ.max())
+    assert peak >= largest    # every op lasts at least one level
+    for budget in [*range(peak, peak + 4), unbounded]:
+        assert list_schedule(g, part, binding, budget, lev).ops == free.ops, budget
+    if peak - 1 >= largest:
+        assert list_schedule(g, part, binding, peak - 1, lev).ops != free.ops
+
+
+def test_ancilla_peak_of_an_empty_schedule_is_zero():
+    assert ancilla_peak(MappedSchedule((), 0, 0.0), _one_op_graph(1.0)) == 0
 
 
 @pytest.mark.parametrize("seed", range(6))
