@@ -13,7 +13,7 @@ from .ir import (
     identify_kernels,
     parse_program,
 )
-from .qodg import Qodg, QodgEdge, build_qodg, critical_path, level_graph, render_dot
+from .qodg import Qodg, build_qodg, critical_path, level_graph, render_dot
 from .partition import (
     Partition,
     WeightAnnotation,

@@ -95,6 +95,10 @@ class _Parser:
         self.open_body: list[QuantumOp] = []
         self.loose_run: list[QuantumOp] = []
         self.implicit_count = 0
+        # no implicit kernel takes a declared id, even one declared further on
+        self.declared = {w[1] for w in (raw.split("#", 1)[0].split()
+                                        for raw in self.lines if ".kernel" in raw)
+                         if len(w) == 2 and w[0] == ".kernel"}
 
     def error(self, msg, lineno, col=None):
         raise NetlistError(msg, line=lineno, col=col)
@@ -210,7 +214,7 @@ class _Parser:
         while True:
             kid = f"_top{self.implicit_count}"
             self.implicit_count += 1
-            if kid not in self.kernels:
+            if kid not in self.declared:
                 break
         self.kernels[kid] = Kernel(kid, tuple(self.loose_run))
         self.stages.append((kid, 1, 0))

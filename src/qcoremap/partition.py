@@ -88,12 +88,12 @@ class Partition:
 
 def traffic_matrix(g: Qodg, assignment: np.ndarray, k: int) -> np.ndarray:
     """w[m][x] = qubits carried by cut edges from part m to part x."""
+    src, dst, qubits = g.edges.T
+    pa, pb = assignment[src], assignment[dst]
+    cut = pa != pb
     w = np.zeros((k, k), dtype=np.int64)
-    for e in g.edges:
-        pa = int(assignment[e.src])
-        pb = int(assignment[e.dst])
-        if pa != pb:
-            w[pa, pb] += e.weight
+    # add.at sums repeated (pa, pb) pairs, which a fancy-index += would drop
+    np.add.at(w, (pa[cut], pb[cut]), qubits[cut])
     return w
 
 
@@ -560,5 +560,5 @@ def kway_partition(g: Qodg, k: int, eps: float = 0.1, seed: int = 0) -> Partitio
         bisect(nodes[best_side], _side_edges(edges, best_side), k1, offset)
         bisect(nodes[~best_side], _side_edges(edges, ~best_side), k2, offset + k1)
 
-    bisect(np.arange(n, dtype=np.int64), [(e.src, e.dst, e.weight) for e in g.edges], k, 0)
+    bisect(np.arange(n, dtype=np.int64), g.edges.tolist(), k, 0)
     return Partition(assignment, k, traffic_matrix(g, assignment, k), ann.n_con)

@@ -6,16 +6,19 @@ operations touching it therefore form a simple chain in textual order, and
 every edge goes forward: operation order is a topological order, so
 leveling and the critical path are single forward passes.
 
-Nodes are array-backed: node i is `ops[i]` (the kernel body itself), with
-its delay, ancilla count and level at index i of the node arrays. Edges stay
-`QodgEdge` tuples because `render_dot` prints each edge's shared qubits, and
-`preds`/`succs` stay tuples of tuples because leveling, the critical path
-and the scheduler walk them in Python loops, where tuple indexing is
-cheaper than numpy scalar access.
+The graph is array-backed. Node i is `ops[i]` (the kernel body itself), with
+its delay, ancilla count and level at index i of the node arrays. `edges` is
+one int64 table of shape (E, 3), (0, 3) without edges, whose rows are (src,
+dst, shared-qubit count) sorted by (src, dst); `render_dot` recomputes the
+shared qubits themselves from the ops. `preds` stays a tuple of tuples,
+ascending per node, because leveling, the critical path and the scheduler
+walk it in Python loops, where tuple indexing is cheaper than numpy scalar
+access.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -28,29 +31,29 @@ if TYPE_CHECKING:
 
 
 @dataclass(frozen=True)
-class QodgEdge:
-    src: int
-    dst: int
-    shared_qubits: frozenset[int]
-
-    @property
-    def weight(self) -> int:
-        return len(self.shared_qubits)
-
-
-@dataclass(frozen=True)
 class Qodg:
     kernel_id: str
     ops: tuple[QuantumOp, ...]
     delay_us: np.ndarray        # float64 per node
     ancilla: np.ndarray         # int64 per node
-    edges: tuple[QodgEdge, ...]
+    edges: np.ndarray           # int64 (E, 3): src, dst, shared-qubit count
     preds: tuple[tuple[int, ...], ...]
-    succs: tuple[tuple[int, ...], ...]
     level: np.ndarray           # int64 per node, ASAP level; -1 until leveled
 
     def __len__(self):
         return len(self.ops)
+
+
+def _qubit_links(ops):
+    """(i, j, q) for every two consecutive ops i < j on qubit q: the edge
+    rule. Per edge, the links' count is its weight and their qubits its
+    shared qubits."""
+    last_use: dict[int, int] = {}
+    for j, op in enumerate(ops):
+        for q in op.operands:
+            if q in last_use:
+                yield last_use[q], j, q
+            last_use[q] = j
 
 
 def build_qodg(kernel: Kernel, profile: "QecProfile") -> Qodg:
@@ -59,31 +62,18 @@ def build_qodg(kernel: Kernel, profile: "QecProfile") -> Qodg:
     Raises ConfigError when an operation kind has no profile row.
     """
     costs = [profile.lookup(op.kind) for op in kernel.body]
-    shared: dict[tuple[int, int], set[int]] = {}
-    last_use: dict[int, int] = {}
-    for j, op in enumerate(kernel.body):
-        for q in op.operands:
-            if q in last_use:
-                shared.setdefault((last_use[q], j), set()).add(q)
-            last_use[q] = j
-
-    edges = tuple(
-        QodgEdge(src, dst, frozenset(qs)) for (src, dst), qs in sorted(shared.items())
-    )
+    rows = sorted(Counter((i, j) for i, j, _ in _qubit_links(kernel.body)).items())
     n = len(kernel.body)
     preds: list[list[int]] = [[] for _ in range(n)]
-    succs: list[list[int]] = [[] for _ in range(n)]
-    for e in edges:
-        preds[e.dst].append(e.src)
-        succs[e.src].append(e.dst)
+    for (i, j), _ in rows:
+        preds[j].append(i)
     return Qodg(
         kernel.id,
         kernel.body,
         np.array([c.delay_us for c in costs], dtype=np.float64),
         np.array([c.ancilla for c in costs], dtype=np.int64),
-        edges,
-        tuple(tuple(p) for p in preds),
-        tuple(tuple(s) for s in succs),
+        np.array([(i, j, w) for (i, j), w in rows], dtype=np.int64).reshape(-1, 3),
+        tuple(map(tuple, preds)),
         np.full(n, -1, dtype=np.int64),
     )
 
@@ -111,11 +101,14 @@ def critical_path(g: Qodg) -> float:
 
 def render_dot(g: Qodg) -> str:
     """The graph in DOT form (node: kind, level; edge: shared qubits)."""
-    lines = [f'digraph "{g.kernel_id}" {{']
+    name = g.kernel_id.replace("\\", "\\\\").replace('"', '\\"')
+    lines = [f'digraph "{name}" {{']
     for i, (op, lv) in enumerate(zip(g.ops, g.level.tolist())):
         lines.append(f'  n{i} [label="{i}:{op.kind}" kind="{op.kind}" level={lv}];')
-    for e in g.edges:
-        qs = ",".join(str(q) for q in sorted(e.shared_qubits))
-        lines.append(f'  n{e.src} -> n{e.dst} [qubits="{qs}"];')
+    shared: dict[tuple[int, int], list[int]] = {}
+    for i, j, q in _qubit_links(g.ops):
+        shared.setdefault((i, j), []).append(q)
+    for (i, j), qs in sorted(shared.items()):
+        lines.append(f'  n{i} -> n{j} [qubits="{",".join(map(str, sorted(qs)))}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

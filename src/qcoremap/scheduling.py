@@ -164,15 +164,16 @@ def _schedule_impl(order, dur, anc, core, preds, route, n_cores, budget):
     return start
 
 
-def _priorities(succs, dur: list[int]) -> list[int]:
+def _priorities(preds, dur: list[int]) -> list[int]:
     """Longest duration path from each node to any sink, itself included."""
-    prio = list(dur)
-    for u in range(len(dur) - 1, -1, -1):
-        best = 0
-        for v in succs[u]:
-            if prio[v] > best:
-                best = prio[v]
-        prio[u] = dur[u] + best
+    # in reverse index order every successor of v is final before v, and
+    # prio[v] holds the best of them until dur[v] is added
+    prio = [0] * len(dur)
+    for v in range(len(dur) - 1, -1, -1):
+        p = prio[v] = prio[v] + dur[v]
+        for u in preds[v]:
+            if p > prio[u]:
+                prio[u] = p
     return prio
 
 
@@ -192,7 +193,7 @@ def list_schedule(g: Qodg, partition: Partition, binding: Binding,
 
     dur = lev.dur_levels.tolist()
     # highest priority first; the sort is stable, so ties go to the lower index
-    order = sorted(range(n), key=_priorities(g.succs, dur).__getitem__, reverse=True)
+    order = sorted(range(n), key=_priorities(g.preds, dur).__getitem__, reverse=True)
     start = _schedule_impl(
         order, dur, anc.tolist(), core, g.preds,
         lev.route_levels.tolist(), len(binding.part_to_core), budget_per_core,
@@ -275,14 +276,14 @@ def verify_schedule(sched: MappedSchedule, g: Qodg, partition: Partition,
             violations.append(f"op {i} lasts {op.dur_levels} levels, "
                               f"quantized duration is {dur[i]}")
 
-    for e in g.edges:
-        a, b = by_node[e.src], by_node[e.dst]
+    for u, v, _ in g.edges.tolist():
+        a, b = by_node[u], by_node[v]
         if a is None or b is None:
             continue
-        lag = route[core[e.src]][core[e.dst]]
+        lag = route[core[u]][core[v]]
         if a.start + a.dur_levels + lag > b.start:
             violations.append(
-                f"dependency {e.src}->{e.dst} violated: "
+                f"dependency {u}->{v} violated: "
                 f"{a.start}+{a.dur_levels}+{lag} > {b.start}"
             )
 

@@ -103,8 +103,12 @@ def dependency_edges(ops: list[tuple[str, tuple[int, ...]]]) -> dict[tuple[int, 
 
 def reference_levels(g) -> np.ndarray:
     """ASAP level per node (1 + max over predecessors, 0 for sources),
-    visiting nodes in queue order rather than in op order."""
+    visiting nodes in queue order rather than in op order, along successor
+    lists built from the edge table."""
     n = len(g)
+    succs: list[list[int]] = [[] for _ in range(n)]
+    for u, v, _ in g.edges.tolist():
+        succs[u].append(v)
     level = np.zeros(n, dtype=np.int64)
     indeg = np.array([len(p) for p in g.preds])
     queue = [i for i in range(n) if indeg[i] == 0]
@@ -112,7 +116,7 @@ def reference_levels(g) -> np.ndarray:
     while queue:
         u = queue.pop()
         seen += 1
-        for v in g.succs[u]:
+        for v in succs[u]:
             if level[u] + 1 > level[v]:
                 level[v] = level[u] + 1
             indeg[v] -= 1
@@ -378,7 +382,7 @@ def reference_kway_partition(g, k, eps=0.1, seed=0) -> np.ndarray:
             bisect(nodes[half], [(rank[a], rank[b], w) for a, b, w in edges if on[a] and on[b]],
                    kh, off)
 
-    bisect(np.arange(n, dtype=np.int64), [(e.src, e.dst, e.weight) for e in g.edges], k, 0)
+    bisect(np.arange(n, dtype=np.int64), g.edges.tolist(), k, 0)
     return assignment
 
 

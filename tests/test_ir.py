@@ -4,7 +4,7 @@ import pytest
 from conftest import ops_to_netlist, random_ops
 from oracles import flat_expansion, flat_op_count, interpret_netlist, serialize_program
 
-from qcoremap import NetlistError, identify_kernels, parse_program
+from qcoremap import FabricParams, NetlistError, identify_kernels, map_program, parse_program
 from qcoremap.generators import phase_estimation_netlist, random_netlist
 
 
@@ -26,6 +26,21 @@ def test_kernel_block_and_call():
 def test_call_default_count_is_one():
     p = parse_program("qubit q0\n.kernel K\nH q0\n.endkernel\n.call K\n")
     assert p.sequence.stages == (("K", 1),)
+
+
+@pytest.mark.parametrize("text", [
+    "qubit a\nH a\n.kernel _top0\nT a\n.endkernel\n.call _top0\n",
+    "qubit a\n.kernel _top0\nT a\n.endkernel\nH a\n.call _top0\n",
+])
+def test_loose_run_never_takes_a_declared_kernel_id(text, steane):
+    # the loose run takes the first _topN that no .kernel line declares,
+    # wherever that line comes, so no kernel block can overwrite it
+    p = parse_program(text)
+    assert p.sequence.stages == (("_top1", 1), ("_top0", 1))
+    assert [op.kind for op in p.kernels["_top1"].body] == ["H"]
+    assert [op.kind for op in p.kernels["_top0"].body] == ["T"]
+    report = map_program(p, steane, FabricParams(1, 200))
+    assert report.program_latency_us == pytest.approx(440.0)
 
 
 @pytest.mark.parametrize("bad,what", [

@@ -22,6 +22,7 @@ from qcoremap import (
     kway_partition,
     level_graph,
     parse_program,
+    traffic_matrix,
 )
 from qcoremap import partition
 from qcoremap.generators import random_netlist, walk_step_netlist
@@ -188,8 +189,9 @@ def _starts_skipped(g, k):
 def test_kway_equals_refining_every_start_on_graphs_with_skipped_starts():
     # fixed graphs that surely hold what the skips act on
     graphs = [_skip_graph(seed, 60, 12) for seed in range(6)]
-    assert any(len(g) > 1 and not g.edges for g in graphs)
-    assert any(g.edges and any(not g.preds[i] and not g.succs[i] for i in range(len(g)))
+    assert any(len(g) > 1 and len(g.edges) == 0 for g in graphs)
+    assert any(len(g.edges) and any(not g.preds[i] and i not in g.edges[:, 0]
+                                    for i in range(len(g)))
                for g in graphs)
     zero = repeat = 0
     for g in graphs:
@@ -301,6 +303,39 @@ def _graph(seed, max_ops, max_qubits):
     return level_graph(build_qodg(parse_program(text).kernels["_top0"], bundled_profile("steane")))
 
 
+@pytest.mark.parametrize("k", [1, 2, 4, 9])
+def test_traffic_matrix_equals_a_per_row_sum(k):
+    rng = np.random.default_rng(k)
+    repeated = empty = 0
+    for seed in range(20):
+        g = _graph(seed, 60, 6)
+        # parts at or above `used` stay empty
+        used = int(rng.integers(1, k + 1))
+        part = rng.integers(0, used, size=len(g))
+        want = [[0] * k for _ in range(k)]
+        pairs = []
+        for a, b, w in g.edges.tolist():
+            pa, pb = int(part[a]), int(part[b])
+            if pa != pb:
+                want[pa][pb] += w
+                pairs.append((pa, pb))
+        got = traffic_matrix(g, part, k)
+        assert got.dtype == np.int64 and got.tolist() == want
+        repeated += len(pairs) > len(set(pairs))
+        empty += used < k
+    assert k == 1 or (repeated and empty)
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 9])
+def test_traffic_matrix_of_an_edgeless_kernel(k):
+    g = level_graph(build_qodg(parse_program("qubit a\nH a\n").kernels["_top0"],
+                               bundled_profile("steane")))
+    assert g.edges.shape == (0, 3)
+    got = traffic_matrix(g, np.array([k - 1], dtype=np.int64), k)
+    assert got.dtype == np.int64 and got.tolist() == [[0] * k for _ in range(k)]
+    assert kway_partition(g, k).traffic.tolist() == [[0] * k for _ in range(k)]
+
+
 def _partition_recording_conflicts(mp, g, k, eps):
     """kway_partition plus whether any bisection's initial split had to
     break node-count balance because the dimension quotas won."""
@@ -327,7 +362,7 @@ def _assert_within_bounds(g, part, k, eps, check_nodes):
         lo, hi = _bound_pair(int(in_c.sum()), k, decimal_fraction(eps))
         per_part = np.bincount(part.assignment[in_c], minlength=k)
         assert lo <= per_part.min() and per_part.max() <= hi
-    cut = sum(e.weight for e in g.edges if part.assignment[e.src] != part.assignment[e.dst])
+    cut = sum(w for a, b, w in g.edges.tolist() if part.assignment[a] != part.assignment[b])
     assert int(part.traffic.sum()) == cut
     return cut
 
@@ -340,7 +375,7 @@ def test_two_way_split_is_feasible_and_no_better_than_exhaustive(seed, eps):
         part, conflict = _partition_recording_conflicts(mp, g, 2, eps)
     cut = _assert_within_bounds(g, part, 2, eps, check_nodes=not conflict)
     ann = assign_weight_vectors(g, 2)
-    best = best_two_way_cut(len(g), [(e.src, e.dst, e.weight) for e in g.edges],
+    best = best_two_way_cut(len(g), g.edges.tolist(),
                             ann.node_dim.tolist(), ann.n_con, eps)
     if not conflict:
         assert best is not None and cut >= best

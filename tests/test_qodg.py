@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +19,19 @@ from qcoremap import (
     render_dot,
 )
 from qcoremap.fabric import OpCost, QecProfile
+from qcoremap.qodg import _qubit_links
+
+
+def shared_qubits(g):
+    """Edge (src, dst) -> its shared qubits, grouped from _qubit_links, once
+    the edge table is checked to hold exactly these edges, in (src, dst)
+    order, each weighted by its number of shared qubits."""
+    shared: dict[tuple[int, int], set[int]] = {}
+    for i, j, q in _qubit_links(g.ops):
+        shared.setdefault((i, j), set()).add(q)
+    assert g.edges.dtype == np.int64 and g.edges.shape == (len(shared), 3)
+    assert g.edges.tolist() == [[i, j, len(qs)] for (i, j), qs in sorted(shared.items())]
+    return shared
 
 
 def three_op_kernel(uniform_profile):
@@ -27,28 +41,29 @@ def three_op_kernel(uniform_profile):
 
 def test_three_op_example_edges(uniform_profile):
     g = three_op_kernel(uniform_profile)
-    got = {(e.src, e.dst): set(e.shared_qubits) for e in g.edges}
-    assert got == {(0, 1): {1}, (0, 2): {0}}
+    assert g.edges.tolist() == [[0, 1, 1], [0, 2, 1]]
+    assert shared_qubits(g) == {(0, 1): {1}, (0, 2): {0}}
 
 
 def test_single_op(uniform_profile):
     _, k = single_kernel("qubit a\nH a\n")
     g = build_qodg(k, uniform_profile)
-    assert len(g) == 1 and not g.edges
+    assert len(g) == 1 and g.edges.shape == (0, 3) and g.edges.dtype == np.int64
+    assert shared_qubits(g) == {}
 
 
 def test_single_qubit_chain(uniform_profile):
     _, k = single_kernel("qubit q\nH q\nH q\nH q\n")
     g = build_qodg(k, uniform_profile)
-    assert [(e.src, e.dst, set(e.shared_qubits)) for e in g.edges] == \
-        [(0, 1, {0}), (1, 2, {0})]
+    assert g.edges.tolist() == [[0, 1, 1], [1, 2, 1]]
+    assert shared_qubits(g) == {(0, 1): {0}, (1, 2): {0}}
 
 
 def test_cnot_pair_shares_both_qubits(uniform_profile):
     _, k = single_kernel("qubit a\nqubit b\nCNOT a,b\nCNOT a,b\n")
     g = build_qodg(k, uniform_profile)
-    (e,) = g.edges
-    assert e.shared_qubits == {0, 1}
+    assert g.edges.tolist() == [[0, 1, 2]]
+    assert shared_qubits(g) == {(0, 1): {0, 1}}
 
 
 def test_levels_of_three_op_example(uniform_profile):
@@ -64,7 +79,7 @@ def test_chain_levels(uniform_profile):
 
 def test_backward_edge_raises(uniform_profile):
     _, k = single_kernel("qubit a\nqubit b\nH a\nH b\n")
-    g = replace(build_qodg(k, uniform_profile), preds=((1,), ()), succs=((), (0,)))
+    g = replace(build_qodg(k, uniform_profile), preds=((1,), ()))
     with pytest.raises(RuntimeError):
         level_graph(g)
 
@@ -139,8 +154,7 @@ def test_edges_match_pairwise_oracle_randomized(uniform_profile):
         ops = random_ops(rng, int(rng.integers(1, 51)), n_q)
         _, k = single_kernel(ops_to_netlist(ops, n_q))
         g = build_qodg(k, uniform_profile)
-        got = {(e.src, e.dst): set(e.shared_qubits) for e in g.edges}
-        assert got == dependency_edges(ops)
+        assert shared_qubits(g) == dependency_edges(ops)
 
 
 def test_per_qubit_edges_form_simple_chain(uniform_profile):
@@ -149,12 +163,10 @@ def test_per_qubit_edges_form_simple_chain(uniform_profile):
         n_q = int(rng.integers(1, 8))
         ops = random_ops(rng, int(rng.integers(1, 40)), n_q)
         _, k = single_kernel(ops_to_netlist(ops, n_q))
-        g = build_qodg(k, uniform_profile)
+        shared = shared_qubits(build_qodg(k, uniform_profile))
         for q in range(n_q):
             touchers = [i for i, (kind, qs) in enumerate(ops) if q in qs]
-            carrying = sorted(
-                (e.src, e.dst) for e in g.edges if q in e.shared_qubits
-            )
+            carrying = sorted(edge for edge, qs in shared.items() if q in qs)
             assert carrying == [
                 (touchers[i], touchers[i + 1]) for i in range(len(touchers) - 1)
             ]
@@ -168,7 +180,7 @@ def test_critical_path_matches_enumeration(uniform_profile):
         _, k = single_kernel(ops_to_netlist(ops, n_q))
         g = level_graph(build_qodg(k, uniform_profile))
         delays = g.delay_us.tolist()
-        edges = {(e.src, e.dst): set(e.shared_qubits) for e in g.edges}
+        edges = shared_qubits(g)
         assert critical_path(g) == pytest.approx(longest_path(len(g), edges, delays))
 
 
@@ -183,3 +195,28 @@ def test_dot_dump(uniform_profile):
 def test_dot_dump_of_unleveled_graph(uniform_profile):
     _, k = single_kernel("qubit a\nqubit b\nCNOT a,b\nH a\n")
     assert render_dot(build_qodg(k, uniform_profile)).count("level=-1") == 2
+
+
+def test_dot_edge_labels_match_the_pairwise_oracle(uniform_profile):
+    rng = np.random.default_rng(5)
+    edge_line = re.compile(r'  n(\d+) -> n(\d+) \[qubits="(\d+(?:,\d+)*)"\];')
+    for _ in range(40):
+        n_q = int(rng.integers(1, 9))
+        ops = random_ops(rng, int(rng.integers(1, 40)), n_q)
+        _, k = single_kernel(ops_to_netlist(ops, n_q))
+        g = build_qodg(k, uniform_profile)
+        labels = [m.groups() for m in map(edge_line.fullmatch, render_dot(g).splitlines()) if m]
+        got = {(int(i), int(j)): [int(q) for q in qs.split(",")] for i, j, qs in labels}
+        want = dependency_edges(ops)
+        assert len(labels) == len(got) == len(g.edges)
+        assert got == {edge: sorted(qs) for edge, qs in want.items()}
+
+
+@pytest.mark.parametrize("kid, head", [
+    ('k"x', r'digraph "k\"x" {'),
+    ('k\\"x\\', r'digraph "k\\\"x\\" {'),
+])
+def test_dot_graph_name_is_escaped(kid, head, uniform_profile):
+    program = parse_program(f"qubit a\n.kernel {kid}\nH a\n.endkernel\n.call {kid}\n")
+    g = build_qodg(program.kernels[kid], uniform_profile)
+    assert render_dot(g).splitlines()[0] == head

@@ -191,12 +191,12 @@ def test_verifier_flags_an_op_moved_before_a_tight_predecessor(walk_map):
     km, budget = walk_map
     ops, lev = km.schedule.ops, km.lev
     tight = [
-        e for e in km.qodg.edges
-        if ops[e.src].start + ops[e.src].dur_levels
-        + int(lev.route_levels[ops[e.src].core, ops[e.dst].core]) == ops[e.dst].start
+        (u, v) for u, v, _ in km.qodg.edges.tolist()
+        if ops[u].start + ops[u].dur_levels
+        + int(lev.route_levels[ops[u].core, ops[v].core]) == ops[v].start
     ]
     assert tight
-    u, v = tight[0].src, tight[0].dst
+    u, v = tight[0]
     moved = list(ops)
     moved[v] = replace(ops[v], start=ops[v].start - 1)
     ok, violations = _verify(km, replace(km.schedule, ops=tuple(moved)), budget)
