@@ -254,12 +254,10 @@ def sweep_budget(program: KernelProgram, profile: QecProfile, params: FabricPara
     each kernel's schedule there gives its ancilla peak, the most ancilla
     one core holds at once. At a budget point, a kernel whose peak is at
     most the per-core budget reuses its unbounded schedule; every other
-    kernel is scheduled and verified at that budget. The reuse is exact:
-    the priority order does not depend on the budget, and by induction over
-    it every op finds its window, plus its own ancilla, within the final
-    unbounded profile, so within the peak, and starts where it started
-    without a bound. A feasible budget is at least every op's ancilla, so a
-    reused point hides no error `list_schedule` would raise. A point's
+    kernel is scheduled and verified at that budget. The reuse is exact
+    (`scheduling.ancilla_peak` gives the proof). A feasible budget is at
+    least every op's ancilla, so a reused point hides no error
+    `list_schedule` would raise. A point's
     `runtime_ms` covers the schedules made for it, and for a point that
     reuses every kernel only the summation.
     """

@@ -243,16 +243,21 @@ def grid_layout(k: int) -> np.ndarray:
 _FLOAT_MAX = Fraction(sys.float_info.max)
 
 
+def decimal_fraction(x: float) -> Fraction:
+    """The decimal a float prints as, exactly: 0.3 is 3/10, not the nearest
+    binary fraction (which is slightly below it)."""
+    return Fraction(repr(float(x)))
+
+
 def delay_matrix(geom: CoreGeometry, params: FabricParams, layout: np.ndarray) -> np.ndarray:
     """k x k qubit-transfer delays (us); the diagonal is the intra-core
-    cache load, the rest Manhattan distance times the unit hop delay."""
+    cache load, the rest Manhattan distance times the unit hop delay.
+    beta_pmd and gamma_mem are read as the decimals they print as."""
     k = layout.shape[0]
-    beta = Fraction(params.beta_pmd)
+    beta = decimal_fraction(params.beta_pmd)
+    gamma = decimal_fraction(params.gamma_mem)
     inter_unit = (geom.alpha_core + params.alpha_int) * beta
-    intra = (
-        (geom.alpha_compute + geom.alpha_cache + Fraction(params.gamma_mem) * geom.alpha_mem)
-        / 2 * beta
-    )
+    intra = (geom.alpha_compute + geom.alpha_cache + gamma * geom.alpha_mem) / 2 * beta
     hops = int(np.ptp(layout[:, 0]) + np.ptp(layout[:, 1]))
     if max(intra, hops * inter_unit) > _FLOAT_MAX:
         raise ConfigError("routing delays exceed the largest float; "

@@ -31,13 +31,17 @@ it alone is searched pair by pair. Refinement makes exactly the move or
 swap that a full rescan of every node and pool would make;
 `tests/oracles.py` keeps the full rescan as the reference.
 
+A bisection's side is one Python list of 0/1 per start, from the initial
+split through refinement (which returns the cut it ends at) to the split of
+the node ids and edges between the two halves; numpy is used only for the
+weights, the final assignment and the traffic matrix.
+
 Work that cannot change a partition is skipped. A pass ends once the cut
 its locked nodes already force reaches the cut of its best prefix, a split
 of cut 0 is not refined, and a bisection stops trying start orders at
-cut 0 and skips a start that an earlier order already made (refinement is
-deterministic and only a strictly smaller cut replaces the best). Every
-order is still drawn, so the random stream, and with it every partition,
-is the same as when each start is refined in full
+cut 0 (only a strictly smaller cut replaces the best). Every order is
+still drawn, so the random stream, and with it every partition, is the
+same as when each start is refined in full
 (`tests/oracles.py::reference_kway_partition`).
 """
 
@@ -50,6 +54,7 @@ from heapq import heapify, heappop, heappush, heapreplace
 import numpy as np
 
 from .errors import ConfigError
+from .fabric import decimal_fraction
 from .qodg import Qodg
 
 
@@ -97,12 +102,6 @@ def traffic_matrix(g: Qodg, assignment: np.ndarray, k: int) -> np.ndarray:
     return w
 
 
-def decimal_fraction(x: float) -> Fraction:
-    """The decimal a float prints as, exactly: 0.3 is 3/10, not the nearest
-    binary fraction (which is slightly below it)."""
-    return Fraction(repr(float(x)))
-
-
 def _bound_pair(total: int, k: int, eps: Fraction) -> tuple[int, int]:
     # lower bound rounded down; upper bound is the largest integer count not
     # exceeding ceil(total/k)*(1+eps), which keeps wide levels genuinely
@@ -118,32 +117,24 @@ def _stride_pick(m: int, t: int) -> list[int]:
     return [((x + 1) * m - 1) // t for x in range(t)]
 
 
-def _side_edges(edges, side: np.ndarray):
-    """The edges with both ends on side, relabelled to their ends' ranks
-    among side's nodes."""
-    on = side.tolist()
-    rank = (np.cumsum(side) - 1).tolist()
-    return [(rank[a], rank[b], w) for a, b, w in edges if on[a] and on[b]]
-
-
 class _Bisection:
     """One two-way split of m nodes destined for k1 + k2 final parts.
 
-    node_dim holds each node's global dimension (-1 for none) and edges are
+    node_dim lists each node's global dimension (-1 for none) and edges are
     (a, b, qubits) over the local indices 0..m-1; parallel edges add up.
-    No edge may join two nodes of one dimension.
+    No edge may join two nodes of one dimension. A side is a list of 0/1
+    per node; side 1 is the k1 half.
     """
 
     def __init__(self, node_dim, edges, k1, k2, dim_lo, dim_hi, node_hi):
         self.m = len(node_dim)
         self.k1 = k1
         self.k2 = k2
-        global_dim = node_dim.tolist()
         self.edges = edges
         # relabel the dimensions present here to 0..D-1 for list indexing
-        dims_global = sorted({d for d in global_dim if d >= 0})
+        dims_global = sorted({d for d in node_dim if d >= 0})
         remap = {c: j for j, c in enumerate(dims_global)}
-        self.dim = [remap.get(d, -1) for d in global_dim]
+        self.dim = [remap.get(d, -1) for d in node_dim]
         self.n_dims = len(dims_global)
         self.members: list[list[int]] = [[] for _ in range(self.n_dims)]
         self.unconstrained: list[int] = []
@@ -166,13 +157,13 @@ class _Bisection:
         self.adj_dk = [[(v, w, (2 * w) << sh) for v, w in row] for row in self.adj]
 
     # ------------------------------------------------------------------
-    def initial(self, order: np.ndarray) -> np.ndarray:
+    def initial(self, order) -> list[int]:
         """Quota-respecting initial side assignment along the given order."""
         kappa = self.k1 + self.k2
-        side = [False] * self.m
+        side = [0] * self.m
         # one bucket per dimension in order, the last (dim -1) unconstrained
         buckets: list[list[int]] = [[] for _ in range(self.n_dims + 1)]
-        for i in order.tolist():
+        for i in order:
             buckets[self.dim[i]].append(i)
         assigned1 = 0
         for c in range(self.n_dims):
@@ -180,7 +171,7 @@ class _Bisection:
             t = (self.q[c] * self.k1 + kappa // 2) // kappa
             t = min(max(t, self.d_lo[c]), self.d_hi[c])
             for x in _stride_pick(len(members), t):
-                side[members[x]] = True
+                side[members[x]] = 1
             assigned1 += t
         unconstrained = buckets[-1]
         nu = len(unconstrained)
@@ -191,18 +182,15 @@ class _Bisection:
             lo = hi = max(0, min(nu, goal))
         t = min(max(goal, lo), hi)
         for x in _stride_pick(nu, t):
-            side[unconstrained[x]] = True
-        return np.array(side, dtype=bool)
-
-    def cut(self, side: np.ndarray) -> int:
-        s = side.tolist()
-        return sum(w for a, b, w in self.edges if s[a] != s[b])
+            side[unconstrained[x]] = 1
+        return side
 
     # ------------------------------------------------------------------
-    def refine(self, side: np.ndarray) -> np.ndarray:
+    def refine(self, s: list[int]) -> int:
         """Kernighan-Lin refinement: best feasible move or swap per step,
         with locking, then rollback to the best prefix; at most 8 passes,
-        stopping after one that gains nothing. Mutates and returns `side`.
+        stopping after one that gains nothing. Mutates the side list `s`
+        and returns the cut it ends at.
 
         Pool p < n_dims holds dimension p's nodes, pool n_dims the
         unconstrained ones. Every heap entry is one int. A node's key is
@@ -270,7 +258,6 @@ class _Bisection:
         MASK = (1 << SH) - 1
         SP = n_dims.bit_length()
         PMASK = (1 << SP) - 1
-        s = side.astype(np.int8).tolist()
         gain = [0] * m          # external minus internal edge weight
         cut = 0                 # at the start of the current pass
         total = 0
@@ -484,8 +471,7 @@ class _Bisection:
             if best_cum <= 0:
                 break
             cut -= best_cum
-        side[:] = s
-        return side
+        return cut
 
 
 def kway_partition(g: Qodg, k: int, eps: float = 0.1, seed: int = 0) -> Partition:
@@ -519,46 +505,45 @@ def kway_partition(g: Qodg, k: int, eps: float = 0.1, seed: int = 0) -> Partitio
         dim_lo[c], dim_hi[c] = _bound_pair(total, k, eps_f)
     _, node_hi = _bound_pair(n, k, eps_f)
 
+    node_dim = ann.node_dim.tolist()
     assignment = np.full(n, -1, dtype=np.int64)
     rng = np.random.default_rng(seed)
 
-    def bisect(nodes: np.ndarray, edges, kappa: int, offset: int):
+    def bisect(nodes: list[int], edges, kappa: int, offset: int):
         """Split nodes (global ids, ascending; edges over their local
         indices) into parts offset .. offset + kappa - 1."""
-        if kappa == 1 or len(nodes) == 0:
+        if kappa == 1 or not nodes:
             assignment[nodes] = offset
             return
         k1 = (kappa + 1) // 2
         k2 = kappa - k1
-        bis = _Bisection(ann.node_dim[nodes], edges, k1, k2, dim_lo, dim_hi, node_hi)
+        bis = _Bisection([node_dim[v] for v in nodes], edges, k1, k2, dim_lo, dim_hi, node_hi)
         m = len(nodes)
-        orders = [np.arange(m)]
+        orders = [range(m)]
         if m <= 512:
-            orders.append(np.arange(m)[::-1].copy())
-            orders.append(rng.permutation(m))
+            orders.append(range(m - 1, -1, -1))
+            orders.append(rng.permutation(m).tolist())
         if m <= 96:
-            by_deg = sorted(range(m), key=lambda i: (-len(bis.adj[i]), i))
-            orders.append(np.array(by_deg, dtype=np.int64))
-        # only a strictly smaller cut replaces the best, and refine is
-        # deterministic: stop at cut 0 and skip a start an earlier order made
-        best_side = None
-        best_cut = None
-        starts = set()
+            orders.append(sorted(range(m), key=lambda i: (-len(bis.adj[i]), i)))
+        # only a strictly smaller cut replaces the best: stop at cut 0
+        best_side = best_cut = None
         for order in orders:
-            if best_cut == 0:
-                break
             side = bis.initial(order)
-            start = side.tobytes()
-            if start in starts:
-                continue
-            starts.add(start)
-            side = bis.refine(side)
-            cut = bis.cut(side)
+            cut = bis.refine(side)
             if best_cut is None or cut < best_cut:
-                best_cut = cut
-                best_side = side.copy()
-        bisect(nodes[best_side], _side_edges(edges, best_side), k1, offset)
-        bisect(nodes[~best_side], _side_edges(edges, ~best_side), k2, offset + k1)
+                best_side, best_cut = side, cut
+                if cut == 0:
+                    break
+        # each half's nodes and edges, relabelled to their ranks in the half
+        halves, half_edges, rank = ([], []), ([], []), []
+        for v, sd in zip(nodes, best_side):
+            rank.append(len(halves[sd]))
+            halves[sd].append(v)
+        for a, b, w in edges:
+            if best_side[a] == best_side[b]:
+                half_edges[best_side[a]].append((rank[a], rank[b], w))
+        bisect(halves[1], half_edges[1], k1, offset)
+        bisect(halves[0], half_edges[0], k2, offset + k1)
 
-    bisect(np.arange(n, dtype=np.int64), g.edges.tolist(), k, 0)
+    bisect(list(range(n)), g.edges.tolist(), k, 0)
     return Partition(assignment, k, traffic_matrix(g, assignment, k), ann.n_con)

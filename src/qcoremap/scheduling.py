@@ -23,20 +23,8 @@ Every same-core dependency pays the intra-core cache-load lag (the delay
 matrix diagonal); cross-core dependencies pay the mesh transfer delay.
 The schedule holds each operation's core, start and duration, its makespan
 and its latency; per-core ancilla use and inter-core transfers follow from
-those operations and the bound partition.
-
-A budget at or above a schedule's ancilla peak (`ancilla_peak`, the most
-ancilla one core holds at once, read from the schedule's operations with
-the verifier's event sweep) changes nothing in that schedule. The priority
-order does not depend on the budget, and if the schedule at budget B never
-holds more than b <= B ancilla on a core, then scheduling at b places every
-operation where B placed it. By induction over the order, the operation's
-window at B in the partial timetable, plus its own ancilla, is at most the
-final profile at B, so at most b: it fits there, and the smaller budget
-admits no earlier start. Below the peak the schedule at B breaks the
-budget, so the threshold is tight.
-`sweep_budget` schedules each kernel at an unbounded budget and reuses that
-schedule at every budget from its peak up.
+those operations and the bound partition. A budget at or above a
+schedule's `ancilla_peak` leaves that schedule unchanged (proved there).
 """
 
 from __future__ import annotations
@@ -49,7 +37,8 @@ from operator import add
 import numpy as np
 
 from .errors import ConfigError
-from .partition import Partition, decimal_fraction
+from .fabric import decimal_fraction
+from .partition import Partition
 from .binding import Binding
 from .qodg import Qodg
 
@@ -230,7 +219,21 @@ def _ancilla_segments(ops, ancilla: np.ndarray):
 
 def ancilla_peak(sched: MappedSchedule, g: Qodg) -> int:
     """The most ancilla any one core holds at any level of the schedule (0
-    for an empty one), read from its ops and g's ancilla counts alone."""
+    for an empty one), read from its ops and g's ancilla counts alone with
+    the verifier's event sweep.
+
+    A budget at or above a schedule's peak changes nothing in that
+    schedule. The priority order does not depend on the budget, and if the
+    schedule at budget B never holds more than b <= B ancilla on a core,
+    then scheduling at b places every operation where B placed it. By
+    induction over the order, the operation's window at B in the partial
+    timetable, plus its own ancilla, is at most the final profile at B, so
+    at most b: it fits there, and the smaller budget admits no earlier
+    start. Below the peak the schedule at B breaks the budget, so the
+    threshold is tight. `sweep_budget` schedules each kernel at an
+    unbounded budget and reuses that schedule at every budget from its
+    peak up.
+    """
     if not sched.ops:
         return 0
     return int(_ancilla_segments(sched.ops, g.ancilla)[2].max())

@@ -203,12 +203,13 @@ def best_two_way_cut(n, edge_list, node_dim, n_dims, eps):
 # ----------------------------------------------------------------------
 # Kernighan-Lin refinement by a full rescan per step
 
-def reference_refine(bis, side: np.ndarray, max_passes=8) -> np.ndarray:
+def reference_refine(bis, side: list[int], max_passes=8) -> list[int]:
     """Kernighan-Lin refinement of a `_Bisection`, rescanning everything on
     every step: the best feasible move (vectorized over all nodes) or
     same-pool swap (each pool's unlocked sides rebuilt and sorted), with
     locking, then rollback to the best prefix. Swap search prunes pairs via
-    the gain upper bound g(i) + g(j). Mutates and returns `side`."""
+    the gain upper bound g(i) + g(j). Mutates and returns the 0/1 list
+    `side`."""
     m = bis.m
     if m == 0:
         return side
@@ -227,7 +228,7 @@ def reference_refine(bis, side: np.ndarray, max_passes=8) -> np.ndarray:
             itn[b] += w
 
     def flip(i):
-        side[i] = not side[i]
+        side[i] = 1 - side[i]
         ext[i], itn[i] = itn[i], ext[i]
         for j, w in bis.adj[i]:
             if side[j] == side[i]:
@@ -252,7 +253,7 @@ def reference_refine(bis, side: np.ndarray, max_passes=8) -> np.ndarray:
     has_dim = dim >= 0
     dim_safe = np.where(has_dim, dim, 0)
     for _ in range(max_passes):
-        n1 = int(side.sum())
+        n1 = sum(side)
         cnt1 = np.zeros(max(bis.n_dims, 1), dtype=np.int64)
         for j in range(bis.n_dims):
             cnt1[j] = sum(1 for i in bis.members[j] if side[i])
@@ -269,7 +270,7 @@ def reference_refine(bis, side: np.ndarray, max_passes=8) -> np.ndarray:
                 can_enter = np.where(has_dim, cnt1[dim_safe] + 1 <= d_hi[dim_safe], True)
             else:
                 can_leave = can_enter = np.ones(m, dtype=bool)
-            feas = np.where(side, (n1 - 1 >= bis.n_lo) & can_leave,
+            feas = np.where(np.array(side, dtype=bool), (n1 - 1 >= bis.n_lo) & can_leave,
                             (n1 + 1 <= bis.n_hi) & can_enter)
             elig = feas & ~locked
             best = None  # (gain, kind, i, j); moves beat swaps on ties
@@ -338,11 +339,12 @@ def reference_refine(bis, side: np.ndarray, max_passes=8) -> np.ndarray:
 
 def reference_kway_partition(g, k, eps=0.1, seed=0) -> np.ndarray:
     """kway_partition's recursive bisection, refining every start order with
-    `reference_refine` and skipping none: not a zero-cut start, not a start
-    an earlier order already made, not the orders after a cut of 0. Each
-    bisection's quotas and initial splits come from the production
-    `_Bisection`, which this does not check. Returns the assignment."""
-    from qcoremap.partition import _Bisection, _bound_pair, assign_weight_vectors, decimal_fraction
+    `reference_refine` and skipping none: not a zero-cut start, not the
+    orders after a cut of 0. Each bisection's quotas and initial splits come
+    from the production `_Bisection`, which this does not check. Returns
+    the assignment."""
+    from qcoremap.fabric import decimal_fraction
+    from qcoremap.partition import _Bisection, _bound_pair, assign_weight_vectors
 
     n = len(g)
     ann = assign_weight_vectors(g, k)
@@ -354,21 +356,22 @@ def reference_kway_partition(g, k, eps=0.1, seed=0) -> np.ndarray:
     assignment = np.full(n, -1, dtype=np.int64)
     rng = np.random.default_rng(seed)
 
+    node_dim = ann.node_dim.tolist()
+
     def bisect(nodes, edges, kappa, offset):
-        if kappa == 1 or len(nodes) == 0:
+        if kappa == 1 or not nodes:
             assignment[nodes] = offset
             return
         k1 = (kappa + 1) // 2
         k2 = kappa - k1
-        bis = _Bisection(ann.node_dim[nodes], edges, k1, k2, dim_lo, dim_hi, node_hi)
+        bis = _Bisection([node_dim[v] for v in nodes], edges, k1, k2, dim_lo, dim_hi, node_hi)
         m = len(nodes)
-        orders = [np.arange(m)]
+        orders = [list(range(m))]
         if m <= 512:
-            orders.append(np.arange(m)[::-1].copy())
-            orders.append(rng.permutation(m))
+            orders.append(list(reversed(range(m))))
+            orders.append(rng.permutation(m).tolist())
         if m <= 96:
-            by_deg = sorted(range(m), key=lambda i: (-len(bis.adj[i]), i))
-            orders.append(np.array(by_deg, dtype=np.int64))
+            orders.append(sorted(range(m), key=lambda i: (-len(bis.adj[i]), i)))
         best_side = None
         best_cut = None
         for order in orders:
@@ -376,13 +379,15 @@ def reference_kway_partition(g, k, eps=0.1, seed=0) -> np.ndarray:
             cut = sum(w for a, b, w in edges if side[a] != side[b])
             if best_cut is None or cut < best_cut:
                 best_cut = cut
-                best_side = side.copy()
-        for half, kh, off in ((best_side, k1, offset), (~best_side, k2, offset + k1)):
-            on, rank = half.tolist(), (np.cumsum(half) - 1).tolist()
-            bisect(nodes[half], [(rank[a], rank[b], w) for a, b, w in edges if on[a] and on[b]],
+                best_side = side
+        for half, kh, off in ((1, k1, offset), (0, k2, offset + k1)):
+            local = [i for i in range(m) if best_side[i] == half]
+            rank = {i: r for r, i in enumerate(local)}
+            bisect([nodes[i] for i in local],
+                   [(rank[a], rank[b], w) for a, b, w in edges if a in rank and b in rank],
                    kh, off)
 
-    bisect(np.arange(n, dtype=np.int64), g.edges.tolist(), k, 0)
+    bisect(list(range(n)), g.edges.tolist(), k, 0)
     return assignment
 
 
@@ -640,8 +645,11 @@ def exact_geometry(a_total, k, a_min, l_code, d_max):
 
 def exact_delays(alpha_compute, alpha_core, alpha_cache, alpha_mem,
                  alpha_int, beta, gamma, manhattan):
-    inter = manhattan * (alpha_core + alpha_int) * Fraction(beta)
-    intra = (alpha_compute + alpha_cache + Fraction(gamma) * alpha_mem) / 2 * Fraction(beta)
+    """The hop and cache-load delays, with beta and gamma read as the
+    decimals they print as."""
+    beta, gamma = Fraction(str(beta)), Fraction(str(gamma))
+    inter = manhattan * (alpha_core + alpha_int) * beta
+    intra = (alpha_compute + alpha_cache + gamma * alpha_mem) / 2 * beta
     return float(inter), float(intra)
 
 

@@ -171,3 +171,15 @@ def test_bad_partition_option_exits_two(netlist, capsys, argv):
     # option no k can use ends the run instead of skipping every k
     assert main([argv[0], netlist, "--qec", "steane"] + argv[1:]) == 2
     _assert_one_line(capsys.readouterr().err, "configuration error: ")
+
+
+def test_beta_and_cycle_time_are_read_as_decimals(tmp_path, capsys):
+    # one hop at beta 0.1 is (21 + 3) * 0.1 = 2.4 us, 24 levels at a 0.1 us
+    # cycle; beta read as its binary value gives 2.4000000000000004 us,
+    # 25 levels, and a total of 163.7 us
+    path = tmp_path / "two.qn"
+    path.write_text("qubit a\nqubit b\nH a\nCNOT a,b\nH b\n", encoding="utf-8")
+    argv = ["map", str(path), "--qec", "steane", "-k", "2", "-A", "800",
+            "--beta-pmd", "0.1", "--cycle-time", "0.1"]
+    assert main(argv) == 0
+    assert "  total_latency_us: 163.6\n" in capsys.readouterr().out

@@ -210,6 +210,15 @@ def test_delays_equal_the_exact_products(layout):
             assert d[x, y] == (intra if x == y else inter)
 
 
+def test_delays_read_beta_and_gamma_as_decimals():
+    # a hop of 21 + 3 cells at beta 0.1 is 2.4 us, not the 2.4000000000000004
+    # of the binary 0.1, and the cache load (12 + 2 + 0.7 * 3) / 2 * 0.1 is
+    # 0.805 us, not the 0.8049999999999999 of the binary 0.7
+    geo = CoreGeometry(2, 12, 21, 2, 3)
+    d = delay_matrix(geo, FabricParams(2, 800, beta_pmd=0.1, gamma_mem=0.7), grid_layout(2))
+    assert d.tolist() == [[0.805, 2.4], [2.4, 0.805]]
+
+
 def test_inter_core_delay_linear_in_distance(steane):
     params = FabricParams(9, 8100)
     geo = compute_geometry(steane, params, 10)

@@ -26,7 +26,8 @@ from qcoremap import (
 )
 from qcoremap import partition
 from qcoremap.generators import random_netlist, walk_step_netlist
-from qcoremap.partition import _Bisection, _bound_pair, decimal_fraction
+from qcoremap.fabric import decimal_fraction
+from qcoremap.partition import _Bisection, _bound_pair
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -62,17 +63,23 @@ def _random_bisection(seed, m, n_dims, p_free, max_w, k1, k2, eps=0.1):
     for c in range(n_dims):
         dim_lo[c], dim_hi[c] = _bound_pair(int(np.sum(node_dim == c)), k, decimal_fraction(eps))
     _, node_hi = _bound_pair(n, k, decimal_fraction(eps))
-    bis = _Bisection(node_dim[nodes], edges, k1, k2, dim_lo, dim_hi, node_hi)
+    bis = _Bisection(node_dim[nodes].tolist(), edges, k1, k2, dim_lo, dim_hi, node_hi)
     return bis, rng
 
 
+def _cut(bis, side):
+    return sum(w for a, b, w in bis.edges if side[a] != side[b])
+
+
 def _assert_replays(bis, rng):
-    starts = [rng.random(bis.m) < 0.5, bis.initial(np.arange(bis.m)), bis.initial(rng.permutation(bis.m))]
+    starts = [[int(x < 0.5) for x in rng.random(bis.m)], bis.initial(range(bis.m)),
+              bis.initial(rng.permutation(bis.m).tolist())]
     for side in starts:
         want = reference_refine(bis, side.copy())
         got = side.copy()
-        assert bis.refine(got) is got
-        assert got.tolist() == want.tolist()
+        cut = bis.refine(got)
+        assert got == want
+        assert cut == _cut(bis, got)
 
 
 @settings(max_examples=150, deadline=None)
@@ -124,9 +131,9 @@ def test_refine_equals_full_rescan_at_corpus_scale(seed):
 
 
 def _skip_graph(seed, max_ops, max_qubits):
-    """A leveled random kernel whose bisections often start at cut 0 or
-    repeat a start: a quarter are edge-free (one H per qubit), the rest
-    random ops; then up to 8 isolated T gates, each on a qubit of its own."""
+    """A leveled random kernel whose bisections often start at cut 0: a
+    quarter are edge-free (one H per qubit), the rest random ops; then up
+    to 8 isolated T gates, each on a qubit of its own."""
     rng = np.random.default_rng(seed)
     n_qubits = int(rng.integers(1, max_qubits + 1))
     n_isolated = int(rng.integers(0, 9))
@@ -165,25 +172,22 @@ def test_no_bisection_holds_an_edge_inside_a_dimension(k):
     assert dims > 0
 
 
-def _starts_skipped(g, k):
-    """(zero-cut starts, repeated starts) among kway_partition's initial
-    splits, counted per bisection."""
-    count = {"zero": 0, "repeat": 0}
-    seen = {}
+def _zero_cut_starts(g, k):
+    """The number of kway_partition's initial splits that cut no edge, so
+    that refine returns them at once and the later orders are not tried."""
+    zero = 0
     real_initial = _Bisection.initial
 
     def initial(bis, order):
+        nonlocal zero
         side = real_initial(bis, order)
-        starts = seen.setdefault(bis, set())   # holds bis, so no id is reused
-        count["repeat"] += side.tobytes() in starts
-        count["zero"] += bis.cut(side) == 0
-        starts.add(side.tobytes())
+        zero += _cut(bis, side) == 0
         return side
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_Bisection, "initial", initial)
         kway_partition(g, k)
-    return count["zero"], count["repeat"]
+    return zero
 
 
 def test_kway_equals_refining_every_start_on_graphs_with_skipped_starts():
@@ -193,18 +197,17 @@ def test_kway_equals_refining_every_start_on_graphs_with_skipped_starts():
     assert any(len(g.edges) and any(not g.preds[i] and i not in g.edges[:, 0]
                                     for i in range(len(g)))
                for g in graphs)
-    zero = repeat = 0
+    zero = 0
     for g in graphs:
         for k in (2, 3, 4, 8, 9):
             assert kway_partition(g, k).assignment.tolist() == reference_kway_partition(g, k).tolist()
-            z, r = _starts_skipped(g, k)
-            zero, repeat = zero + z, repeat + r
-    assert zero > 0 and repeat > 0
+            zero += _zero_cut_starts(g, k)
+    assert zero > 0
 
 
 def _hand_bisection(node_dim, edges, dim_lo, dim_hi, node_hi):
     """A k1 = k2 = 1 _Bisection over nodes 0..m-1 with the given quotas."""
-    return _Bisection(np.array(node_dim), edges, 1, 1, dim_lo, dim_hi, node_hi)
+    return _Bisection(node_dim, edges, 1, 1, dim_lo, dim_hi, node_hi)
 
 
 def test_refine_runs_the_sorted_scan_when_the_pool_tops_share_an_edge():
@@ -212,9 +215,9 @@ def test_refine_runs_the_sorted_scan_when_the_pool_tops_share_an_edge():
     # legal. The tops 0 and 2 share an edge of 3: swapping them gains
     # 3 + 3 - 6 = 0, while (0, 3) gains 5 and ends with a cut of 0
     bis = _hand_bisection([-1, -1, -1, -1], [(0, 2, 3), (1, 3, 2)], {}, {}, 2)
-    side = np.array([True, True, False, False])
-    assert reference_refine(bis, side.copy()).tolist() == [False, True, False, True]
-    assert bis.refine(side).tolist() == [False, True, False, True]
+    side = [1, 1, 0, 0]
+    assert reference_refine(bis, side.copy()) == [0, 1, 0, 1]
+    assert bis.refine(side) == 0 and side == [0, 1, 0, 1]
 
 
 def test_refine_reenters_a_group_whose_moves_turn_feasible_again():
@@ -224,22 +227,22 @@ def test_refine_reenters_a_group_whose_moves_turn_feasible_again():
     # third step must move node 3
     bis = _hand_bisection([0, -1, -1, 0, -1, 0], [(2, 5, 1), (2, 4, 1), (1, 4, 3)],
                           {0: 1}, {0: 3}, 4)
-    side = np.array([False, True, False, True, True, True])
-    assert reference_refine(bis, side.copy()).tolist() == [False, True, False, True, True, False]
-    assert bis.refine(side).tolist() == [False, True, False, True, True, False]
+    side = [0, 1, 0, 1, 1, 1]
+    assert reference_refine(bis, side.copy()) == [0, 1, 0, 1, 1, 0]
+    assert bis.refine(side) == 1 and side == [0, 1, 0, 1, 1, 0]
 
 
-@pytest.mark.parametrize("start", [[True, False, True, False, True], [False] * 5])
+@pytest.mark.parametrize("start", [[1, 0, 1, 0, 1], [0] * 5])
 def test_refine_returns_a_zero_cut_split_unchanged(start):
     # components {0, 2, 4} and {1, 3}; dimension 0 = {0, 1} keeps one node
     # on side 1. The first split is feasible, the second breaks both the
     # node count and the quota; neither cuts an edge, so no step can gain
     bis = _hand_bisection([0, 0, -1, -1, -1], [(0, 2, 2), (2, 4, 1), (1, 3, 3)],
                           {0: 1}, {0: 1}, 3)
-    side = np.array(start)
-    assert bis.cut(side) == 0
-    assert reference_refine(bis, side.copy()).tolist() == start
-    assert bis.refine(side) is side and side.tolist() == start
+    side = start.copy()
+    assert _cut(bis, side) == 0
+    assert reference_refine(bis, side.copy()) == start
+    assert bis.refine(side) == 0 and side == start
 
 
 @pytest.mark.parametrize("n, eps, d_lo, d_hi", [(41, 0.1, 18, 23), (40, 0.3, 14, 26)])
@@ -344,7 +347,7 @@ def _partition_recording_conflicts(mp, g, k, eps):
 
     def initial(bis, order):
         side = real_initial(bis, order)
-        conflicts.append(not bis.n_lo <= int(side.sum()) <= bis.n_hi)
+        conflicts.append(not bis.n_lo <= sum(side) <= bis.n_hi)
         return side
 
     mp.setattr(_Bisection, "initial", initial)
