@@ -189,11 +189,12 @@ class _Parser:
         self.stages.append((kid, count, lineno))
 
     def _gate(self, line, raw, lineno):
-        head, _, rest = line.partition(" ")
+        head, *rest = line.split(None, 1)
         if head not in GATE_KINDS:
             self.error(f"unknown gate kind '{head}'", lineno, raw.find(head) + 1)
-        names = [t.strip() for t in rest.split(",")] if rest.strip() else []
-        if any(not n or " " in n for n in names):
+        names = [t.strip() for t in rest[0].split(",")] if rest else []
+        # an empty name, or whitespace inside one
+        if any(n.split() != [n] for n in names):
             self.error(f"malformed operand list for {head}", lineno)
         operands = []
         for name in names:

@@ -12,37 +12,11 @@ different levels, so no edge joins two nodes of one dimension.
 The partitioner is recursive bisection with Kernighan-Lin style refinement
 (single moves plus same-dimension swaps, with locking and rollback to the
 best prefix). Cut weight is the number of qubits crossing the cut, which is
-exactly the traffic the binder later pays for.
-
-Refinement keeps, per dimension pool and side, a heap of its unlocked
-nodes in the spirit of Fiduccia-Mattheyses gain buckets. Every heap entry
-is one int that packs a gain above an index, (-gain << SH) | index with SH
-the bits an index needs, so entries order exactly as the (-gain, index)
-tuples of a full rescan: the highest gain first, then the lowest index.
-The heaps are repaired lazily: every unlocked node keeps an entry no
-larger than its current key, so a step pushes an entry only for a
-neighbour whose gain rose, and cleans only a group whose top moved or lost
-gain; the first entry that equals its node's key is then the exact top.
-By the invariant a dimension pool's best swap is its two tops, so two more
-heaps over the group tops give the best feasible move and the best
-dimension swap, and a step costs time in proportion to what it changed,
-not to the number of pools. Only the unconstrained pool can hold an edge;
-it alone is searched pair by pair. Refinement makes exactly the move or
-swap that a full rescan of every node and pool would make;
-`tests/oracles.py` keeps the full rescan as the reference.
-
-A bisection's side is one Python list of 0/1 per start, from the initial
-split through refinement (which returns the cut it ends at) to the split of
-the node ids and edges between the two halves; numpy is used only for the
-weights, the final assignment and the traffic matrix.
-
-Work that cannot change a partition is skipped. A pass ends once the cut
-its locked nodes already force reaches the cut of its best prefix, a split
-of cut 0 is not refined, and a bisection stops trying start orders at
-cut 0 (only a strictly smaller cut replaces the best). Every order is
-still drawn, so the random stream, and with it every partition, is the
-same as when each start is refined in full
-(`tests/oracles.py::reference_kway_partition`).
+exactly the traffic the binder later pays for. Refinement makes exactly
+the steps of a full rescan of every node and pool, and skips only work
+that cannot change a partition, so every partition equals
+`tests/oracles.py::reference_kway_partition`, which refines every start in
+full; `_Bisection.refine` describes the heaps that find each step.
 """
 
 from __future__ import annotations
@@ -146,15 +120,14 @@ class _Bisection:
         self.d_hi = [min(k1 * dim_hi[c], q - k2 * dim_lo[c]) for c, q in zip(dims_global, self.q)]
         self.n_lo = max(0, self.m - k2 * node_hi)
         self.n_hi = min(k1 * node_hi, self.m)
-        self.adj: list[list[tuple[int, int]]] = [[] for _ in range(self.m)]
-        for a, b, w in self.edges:
-            self.adj[a].append((b, w))
-            self.adj[b].append((a, w))
-        # for refine, whose node keys are (-gain << SH) | index with
-        # SH = m.bit_length(): each neighbour with the key change of a gain
-        # change of 2w
+        # per node, (neighbour, qubits, key delta) for each edge: refine's
+        # node keys are (-gain << SH) | index with SH = m.bit_length(), so
+        # a gain change of 2w moves a key by (2w) << SH
         sh = self.m.bit_length()
-        self.adj_dk = [[(v, w, (2 * w) << sh) for v, w in row] for row in self.adj]
+        self.adj: list[list[tuple[int, int, int]]] = [[] for _ in range(self.m)]
+        for a, b, w in self.edges:
+            self.adj[a].append((b, w, (2 * w) << sh))
+            self.adj[b].append((a, w, (2 * w) << sh))
 
     # ------------------------------------------------------------------
     def initial(self, order) -> list[int]:
@@ -189,50 +162,47 @@ class _Bisection:
     def refine(self, s: list[int]) -> int:
         """Kernighan-Lin refinement: best feasible move or swap per step,
         with locking, then rollback to the best prefix; at most 8 passes,
-        stopping after one that gains nothing. Mutates the side list `s`
-        and returns the cut it ends at.
+        stopping after one that gains nothing. Each step locks a node, so a
+        pass ends. Mutates the side list `s` and returns the cut it ends
+        at.
 
         Pool p < n_dims holds dimension p's nodes, pool n_dims the
-        unconstrained ones. Every heap entry is one int. A node's key is
-        (-gain << SH) | index with SH = m.bit_length(), so keys order as
-        (-gain, index) tuples: the highest gain first, then the lowest
-        index. EMPTY, above every node key, marks a group with no
-        unlocked node.
+        unconstrained ones, and group 2p + s holds pool p's nodes on side
+        s. Every heap entry is one int. A node's key is (-gain << SH) |
+        index with SH = m.bit_length(), so keys order as (-gain, index)
+        tuples: the highest gain first, then the lowest index. Three kinds
+        of heap find a step:
 
-        Group 2p + s holds pool p's nodes on side s. It keeps a heap of
-        its unlocked nodes' keys, and top[2p + s] holds its exact best key,
-        and key[i] holds node i's current key in place of its gain. The heaps
-        are repaired lazily: every unlocked node keeps an entry no larger
-        than its current key. A neighbour whose gain rises gets a new
-        entry, and becomes the top if it beats it; one whose gain falls
-        gets none. Only a group whose top moved or whose top's gain fell
-        is cleaned. Cleaning drops entries of locked nodes and older
-        entries above a node's key, and re-pushes an entry below its
-        node's key at that key. The first entry that equals its node's key
-        is then no larger than any unlocked node's key, so it is the exact
-        top.
+        - per group, its unlocked nodes' keys; top[q] is group q's best
+          key, or EMPTY, above every node key, when it has none;
+        - per side, the tops of the feasible groups on that side. A move's
+          feasibility depends only on its group, so the best is the best
+          move;
+        - over the dimension pools, (-(g0 + g1) << SP) | p for a pool
+          whose two tops have gains g0 and g1. A swap stays within a pool
+          and keeps every balance. A dimension is one level and a level
+          holds no edge, so swapping the two tops is the pool's best swap,
+          and the best entry is the best dimension swap.
 
-        A move's feasibility depends only on its group, so the best move
-        is the best top among feasible groups. One heap per side holds the
-        group tops under the same rule: a top is pushed when it falls or
-        its group turns feasible again, and at the front an entry of an
-        infeasible group or one above its group's top is dropped, and one
-        below it is re-pushed at the top. The valid front is the best
-        feasible top.
+        Every heap is repaired lazily. Each item (a node, a group, a pool)
+        that has a current value keeps an entry no larger than it: an
+        entry is pushed when a value falls or an item gains a value, and
+        nothing is done when a value rises. At the front one rule holds:
+        an entry equal to its item's current value is the valid front, and
+        any other entry is replaced by that value, or dropped when the item
+        has none (a locked node, an empty or infeasible group, a pool with
+        an empty side). By the invariant a front entry is never above its
+        item's value, so the valid front is the exact best. A group's heap
+        is repaired when its top may have moved or risen; the side and
+        pool heaps at every step.
 
-        A swap stays within a pool and keeps every balance. A dimension is
-        one level and a level holds no edge, so swapping a dimension
-        pool's two tops gains g0 + g1 and no pair of the pool gains more.
-        One heap holds these values as (-(g0 + g1) << SP) | p, pushed when
-        a pool's value falls and repaired at the front in the same way;
-        its valid front is the best dimension swap. Only the unconstrained
-        pool can hold an edge, so it alone is searched pair by pair, when
-        it has at most 64 nodes, by the sorted scan pruned with the bound
-        g(i) + g(j). Each step is the one a full rescan would pick: a move
-        wins a tie with a swap, the lowest index wins among moves and the
-        lowest pool among swaps, and the unconstrained pool, searched
-        last, must be strictly better to replace the best. The keys order
-        exactly as the tuples of that rescan, so the steps are the same.
+        Only the unconstrained pool can hold an edge, so it alone is
+        searched pair by pair, when it has at most 64 nodes, by the sorted
+        scan pruned with the bound g(i) + g(j). Each step is the one a full
+        rescan would pick: a move wins a tie with a swap, the lowest index
+        wins among moves and the lowest pool among swaps, and the
+        unconstrained pool, searched last, must be strictly better to
+        replace the best.
 
         Work that cannot change the result is skipped. A split of cut 0 is
         returned at once, as no move or swap can gain. Locked nodes stay
@@ -244,12 +214,10 @@ class _Bisection:
         prefix.
         """
         m = self.m
-        step_cap = m
         stall_cap = m if m <= 96 else max(48, m // 4)
         n_dims, dim, d_lo, d_hi = self.n_dims, self.dim, self.d_lo, self.d_hi
         n_lo, n_hi = self.n_lo, self.n_hi
         pools = self.members + [self.unconstrained]
-        # group 2p + s holds pool p's nodes on side s
         base = [2 * c if c >= 0 else 2 * n_dims for c in dim]
         qf = 2 * n_dims         # the unconstrained pool's side-0 group
         free = self.unconstrained
@@ -274,7 +242,7 @@ class _Bisection:
         # gains are kept as keys: a gain change of 2w moves a key by
         # (2w) << SH, and negating the gain of u maps its key to 2u - key
         key = [(-x << SH) | i for i, x in enumerate(gain)]
-        adj = self.adj_dk
+        adj = self.adj
 
         def w_direct(i, j):
             # a QODG node has at most four neighbours: one before and one
@@ -318,18 +286,18 @@ class _Bisection:
             cum = best_cum = 0
             best_len = 0
             stall = 0
-            for _step in range(step_cap):
+            while True:
                 kmin = EMPTY
                 for h, sd in sides[n1 - 1 >= n_lo][n1 + 1 <= n_hi]:
                     while h:
                         e = h[0]
                         q = base[e & MASK] + sd
-                        t = top[q]
-                        if t == e and can[q]:
+                        t = top[q] if can[q] else EMPTY
+                        if t == e:
                             if e < kmin:
                                 kmin = e
                             break
-                        if t < e or t == EMPTY or not can[q]:
+                        if t == EMPTY:
                             heappop(h)
                         else:
                             heapreplace(h, t)
@@ -350,10 +318,7 @@ class _Bisection:
                         if -(e >> SP) > g:
                             g, i, j = -(e >> SP), t1 & MASK, t0 & MASK
                         break
-                    if v < e:
-                        heappop(pair_heap)
-                    else:
-                        heapreplace(pair_heap, v)
+                    heapreplace(pair_heap, v)
                 if scan_free:
                     t0, t1 = top[qf], top[qf + 1]
                     if t0 != EMPTY and t1 != EMPTY and -((t0 >> SH) + (t1 >> SH)) > g:
@@ -390,7 +355,7 @@ class _Bisection:
                         can[q], can[q + 1] = ok0, ok1
                 else:
                     moved = (i, j)
-                clean = []          # the groups whose top left or fell
+                clean = []          # the groups whose top left or rose
                 for u in moved:
                     su = s[u] = 1 - s[u]
                     key[u] = 2 * u - key[u]
@@ -411,12 +376,12 @@ class _Bisection:
                             floor += (w if x + w < y else y - x)
                         q = base[v] + sd
                         kv = key[v]
-                        if sd == su:   # a fall: only a top that fell needs cleaning
+                        if sd == su:   # v's key rises: only a top that rose needs repair
                             key[v] = kv + dk
                             if top[q] == kv:
                                 clean.append(q)
                             continue
-                        # a rise: a new entry, and a new top if it beats it
+                        # v's key falls: a new entry, and a new top if it beats it
                         kv = key[v] = kv - dk
                         heappush(group[q], kv)
                         if kv < top[q]:
@@ -431,22 +396,19 @@ class _Bisection:
                     q = base[u] + 1 - s[u]
                     if top[q] & MASK == u:
                         clean.append(q)
-                # cleaning never lowers a top, so it pushes nothing
+                # repair never lowers a top, so it pushes nothing
                 for q in clean:
                     h = group[q]
                     while h:
                         e = h[0]
                         v = e & MASK
-                        if locked[v]:
-                            heappop(h)
-                            continue
-                        kv = key[v]
-                        if e == kv:
+                        kv = EMPTY if locked[v] else key[v]
+                        if kv == e:
                             break
-                        if e < kv:
-                            heapreplace(h, kv)
-                        else:
+                        if kv == EMPTY:
                             heappop(h)
+                        else:
+                            heapreplace(h, kv)
                     top[q] = h[0] if h else EMPTY
                 if reopen >= 0 and top[reopen] != EMPTY:
                     heappush(heaps[reopen & 1], top[reopen])

@@ -79,7 +79,9 @@ def quantize(g: Qodg, dmat: np.ndarray, cfg: ScheduleConfig) -> LevelizedDuratio
     return LevelizedDurations(dur, route, cfg.cycle_time)
 
 
-@dataclass(frozen=True)
+# not frozen: a frozen dataclass sets each field through object.__setattr__,
+# which made building a schedule's ops cost a third of a list_schedule call
+@dataclass
 class ScheduledOp:
     node: int
     kind: str
@@ -245,8 +247,9 @@ def verify_schedule(sched: MappedSchedule, g: Qodg, partition: Partition,
     """Independent re-check of the schedule constraints.
 
     Verifies: each op scheduled exactly once at level >= 1 for its quantized
-    duration; precedence with routing lags; per-core per-level ancilla
-    occupancy within budget; and the makespan covering every op's finish.
+    duration; precedence with routing lags; per-core ancilla occupancy
+    within budget at every level, reported once per over-budget run of
+    levels at one occupancy; and the makespan covering every op's finish.
     An op whose node is not in the graph is reported and left out of the
     other checks; of a node scheduled more than once, the last op is
     checked. Violations are returned as human-readable strings; empty list
@@ -299,10 +302,10 @@ def verify_schedule(sched: MappedSchedule, g: Qodg, partition: Partition,
         seg_core, seg_start, seg_use = _ancilla_segments(ops, g.ancilla)
         # an over-budget segment is never its core's last, which holds 0
         for j in np.flatnonzero(seg_use > budget_per_core):
-            for z in range(seg_start[j], seg_start[j + 1]):
-                violations.append(
-                    f"core {seg_core[j]} level {z}: ancilla {seg_use[j]} > budget {budget_per_core}"
-                )
+            violations.append(
+                f"core {seg_core[j]} levels {seg_start[j]}-{seg_start[j + 1] - 1}: "
+                f"ancilla {seg_use[j]} > budget {budget_per_core}"
+            )
 
     finish = [op.start + op.dur_levels - 1 for op in ops]
     if finish and max(finish) != sched.makespan:

@@ -213,7 +213,6 @@ def reference_refine(bis, side: list[int], max_passes=8) -> list[int]:
     m = bis.m
     if m == 0:
         return side
-    step_cap = m
     stall_cap = m if m <= 96 else max(48, m // 4)
     unconstrained = bis.unconstrained
     small_uswaps = 0 < len(unconstrained) ** 2 <= 4096
@@ -230,7 +229,7 @@ def reference_refine(bis, side: list[int], max_passes=8) -> list[int]:
     def flip(i):
         side[i] = 1 - side[i]
         ext[i], itn[i] = itn[i], ext[i]
-        for j, w in bis.adj[i]:
+        for j, w, _ in bis.adj[i]:
             if side[j] == side[i]:
                 itn[j] += w
                 ext[j] -= w
@@ -262,7 +261,7 @@ def reference_refine(bis, side: list[int], max_passes=8) -> list[int]:
         cum = best_cum = 0
         best_len = 0
         stall = 0
-        for _step in range(step_cap):
+        while True:
             gain = ext - itn
             # vectorized move feasibility against the side-1 quotas
             if bis.n_dims:

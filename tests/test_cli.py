@@ -141,6 +141,38 @@ def test_budget_range_below_one_exits_two(netlist, capsys):
                      "configuration error: ancilla budget must be >= 1")
 
 
+def test_missing_netlist_file_exits_two(tmp_path, capsys):
+    missing = tmp_path / "missing.qn"
+    assert main(["map", str(missing), "--qec", "steane", "-k", "2", "-A", "400"]) == 2
+    _assert_one_line(capsys.readouterr().err, "error: ")
+
+
+def test_descending_budget_range_exits_two(netlist, capsys):
+    argv = ["sweep-budget", netlist, "--qec", "steane", "-k", "2",
+            "--from", "400", "--to", "200", "--step", "100"]
+    assert main(argv) == 2
+    _assert_one_line(capsys.readouterr().err, "configuration error: empty budget range")
+
+
+def test_sweep_cores_warns_of_a_core_count_the_budget_cannot_support(netlist, capsys):
+    # 800 ancilla over 16 cores leaves 50 per core, below CNOT's 100
+    assert main(["sweep-cores", netlist, "--qec", "steane", "-A", "800", "--k-list", "1,16"]) == 0
+    out, err = capsys.readouterr()
+    _assert_one_line(err, "warning: skipped k=16: per-core ancilla budget 50 ")
+    lines = out.splitlines()
+    assert lines[0] == "axis,latency_us,runtime_ms"
+    assert [line.split(",")[0] for line in lines[1:]] == ["1"]
+
+
+def test_sweep_budget_warns_of_a_budget_below_the_largest_operation(netlist, capsys):
+    argv = ["sweep-budget", netlist, "--qec", "steane", "-k", "2",
+            "--from", "100", "--to", "400", "--step", "300"]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err.startswith("warning: skipped A=100: per-core ancilla budget 50 "), err
+    assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["400"]
+
+
 def test_repetition_with_two_minus_signs_exits_three(tmp_path, capsys):
     bad = tmp_path / "bad.qn"
     bad.write_text("qubit a\n.kernel K\nH a\n.endkernel\n.call K x--5\n", encoding="utf-8")

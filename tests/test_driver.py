@@ -51,6 +51,17 @@ def test_sweep_cores_maps_more_cores_than_operations(steane):
     assert [p.axis_value for p in result.points] == [1, 2, 4, 8, 9, 16]
 
 
+def test_sweep_budget_with_no_feasible_budget_skips_every_point(steane):
+    # CNOT needs 100 ancilla, more than any of these budgets gives a core
+    program = parse_program(walk_step_netlist(6, 2, reps=2))
+    result = sweep_budget(program, steane, FabricParams(2, 150), (50, 100, 150))
+    assert result.points == []
+    assert [a for a, _ in result.skipped] == [50, 100, 150]
+    assert all("cannot host the most expensive operation" in why for _, why in result.skipped)
+    assert result.saturation_value is None
+    assert result.saturation_latency_us is None
+
+
 def test_sweep_budget_reuses_one_preparation_per_kernel(steane, monkeypatch):
     prepared = []
     real = driver.kway_partition

@@ -59,11 +59,30 @@ def test_loose_run_never_takes_a_declared_kernel_id(text, steane):
     ("qubit a\n.kernel K\nH a\n", "not closed"),
     ("qubit a\nqubit a\n", "duplicate"),
     ("qubit a\n.kernel K\nH a\n.endkernel\n.kernel K\nH a\n.endkernel\n", "duplicate"),
+    (".foo\n", "unknown directive '.foo'"),
+    ("qubit a\n.kernel K\nqubit b\n", "qubit declaration inside kernel block"),
+    ("qubit\n", "expected 'qubit <name>'"),
+    ("qubit a b\n", "expected 'qubit <name>'"),
+    (".kernel\n", "expected '.kernel <id>'"),
+    ("qubit a\n.kernel K\nH a\n.endkernel x\n", "unexpected text after .endkernel"),
+    (".kernel K\n.endkernel\n", "kernel 'K' has an empty body"),
+    ("qubit a\n.kernel K\nH a\n.call K\n", ".call inside kernel block"),
+    (".call\n", "expected '.call <id> [x<count>]'"),
+    ("qubit a\nqubit b\nH a b\n", "malformed operand list for H"),
+    ("qubit a\nqubit b\nH a\tb\n", "malformed operand list for H"),
+    ("qubit a\nqubit b\nCNOT a,,b\n", "malformed operand list for CNOT"),
 ])
 def test_parse_errors(bad, what):
     with pytest.raises(NetlistError) as exc:
         parse_program(bad)
     assert what in str(exc.value)
+
+
+def test_gate_lines_split_on_any_whitespace():
+    # a tab after the gate name separates it from the operands, as it
+    # does after a directive
+    spaced = parse_program("qubit a\nqubit b\nH a\nCNOT a,b\n")
+    assert parse_program("qubit a\nqubit\tb\nH\ta\nCNOT \t a ,\tb\n") == spaced
 
 
 def test_parse_error_reports_line():

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -211,9 +212,19 @@ def test_verifier_flags_every_level_over_a_budget_one_below_the_peak(walk_map):
         for z in range(op.start, op.start + op.dur_levels):
             usage[op.core, z] = usage.get((op.core, z), 0) + int(km.qodg.ancilla[op.node])
     peak = max(usage.values())
-    want = [f"core {c} level {z}: ancilla {peak} > budget {peak - 1}"
-            for (c, z), a in sorted(usage.items()) if a == peak]
-    assert _verify(km, km.schedule, peak - 1) == (False, want)
+    ok, violations = _verify(km, km.schedule, peak - 1)
+    assert not ok
+    # one line per over-budget run of levels, so the count does not grow
+    # with the levels a fine cycle time gives each op
+    assert len(violations) <= 2 * len(km.schedule.ops)
+    flagged = set()
+    for msg in violations:
+        c, lo, hi, a = map(int, re.fullmatch(
+            rf"core (\d+) levels (\d+)-(\d+): ancilla (\d+) > budget {peak - 1}", msg).groups())
+        assert lo <= hi
+        assert all(usage[c, z] == a for z in range(lo, hi + 1))
+        flagged.update((c, z) for z in range(lo, hi + 1))
+    assert flagged == {cz for cz, a in usage.items() if a > peak - 1}
 
 
 def test_verifier_flags_ops_shorter_than_their_quantized_duration(walk_map):
@@ -248,6 +259,41 @@ def test_verifier_reports_an_op_not_in_the_graph(uniform_profile):
     for node in (5, -1):
         extra = replace(sched, ops=sched.ops + (ScheduledOp(node, "H", 0, 1, 1),))
         assert verify_schedule(extra, g, part, binding, 10, lev) == (False, [f"op {node} not in graph"])
+
+
+def test_verifier_flags_an_op_never_scheduled(walk_map):
+    km, budget = walk_map
+    ops = km.schedule.ops
+    # an op that ends before the makespan, so the makespan still holds
+    i = next(op.node for op in ops if op.start + op.dur_levels - 1 < km.schedule.makespan)
+    kept = tuple(op for op in ops if op.node != i)
+    assert _verify(km, replace(km.schedule, ops=kept), budget) == (
+        False, [f"op {i} never scheduled"])
+
+
+def test_verifier_flags_an_op_starting_before_level_1(walk_map):
+    km, budget = walk_map
+    ops = km.schedule.ops
+    # an op with no predecessor that starts at level 1; one level earlier
+    # it holds its ancilla alone at level 0 and delays no successor
+    has_pred = set(km.qodg.edges[:, 1].tolist())
+    i = next(op.node for op in ops if op.start == 1 and op.node not in has_pred
+             and op.start + op.dur_levels - 1 < km.schedule.makespan)
+    moved = tuple(replace(op, start=0) if op.node == i else op for op in ops)
+    assert _verify(km, replace(km.schedule, ops=moved), budget) == (
+        False, [f"op {i} starts before level 1"])
+
+
+def test_verifier_flags_an_op_on_another_core(walk_map):
+    km, _ = walk_map
+    ops = km.schedule.ops
+    bound = ops[5].core
+    moved = list(ops)
+    moved[5] = replace(ops[5], core=1 - bound)
+    # a budget no core can exceed leaves the core check alone to fail
+    unbounded = int(km.qodg.ancilla.sum())
+    assert _verify(km, replace(km.schedule, ops=tuple(moved)), unbounded) == (
+        False, [f"op 5 on core {1 - bound}, bound to {bound}"])
 
 
 def test_verifier_flags_a_wrong_makespan(walk_map):
