@@ -32,7 +32,6 @@ def _add_common(p: argparse.ArgumentParser, cores=True, ancilla=True):
     p.add_argument("--gamma-mem", type=float, default=0.2, help="memory routing coefficient")
     p.add_argument("--cycle-time", type=float, default=1.0, help="scheduling level length, us")
     p.add_argument("--epsilon", type=float, default=0.1, help="partition balance tolerance")
-    p.add_argument("--seed", type=int, default=0, help="deterministic seed")
     p.add_argument("--out", help="output file (report or CSV); default stdout")
 
 
@@ -88,7 +87,7 @@ def main(argv=None) -> int:
         program, profile, cfg = _load_inputs(args)
         if args.command == "map":
             report = map_program(program, profile, _params(args, args.cores, args.ancilla), cfg,
-                                 args.epsilon, args.seed)
+                                 args.epsilon)
             if args.dump_qodg:
                 _emit("".join(render_dot(km.qodg) for _, km in sorted(report.kernel_maps.items())),
                       args.dump_qodg)
@@ -100,7 +99,7 @@ def main(argv=None) -> int:
             if not budgets:
                 raise ConfigError("empty budget range")
             result = sweep_budget(program, profile, _params(args, args.cores, max(budgets)),
-                                  budgets, cfg, args.epsilon, args.seed)
+                                  budgets, cfg, args.epsilon)
             for a, why in result.skipped:
                 print(f"warning: skipped A={a}: {why}", file=sys.stderr)
             if result.saturation_value is not None:
@@ -114,7 +113,7 @@ def main(argv=None) -> int:
                 raise ConfigError(
                     f"--k-list takes comma-separated integers, got '{args.k_list}'") from None
             result = sweep_cores(program, profile, _params(args, 1, args.ancilla), ks, cfg,
-                                 args.epsilon, args.seed)
+                                 args.epsilon)
             for k, why in result.skipped:
                 print(f"warning: skipped k={k}: {why}", file=sys.stderr)
             _emit(render_sweep_csv(result), args.out)

@@ -30,7 +30,7 @@ from .fabric import (
 )
 from .ir import KernelCatalog, KernelProgram, identify_kernels
 from .partition import Partition, kway_partition
-from .qodg import Qodg, build_qodg, level_graph
+from .qodg import Qodg, build_qodg
 from .scheduling import (
     LevelizedDurations,
     MappedSchedule,
@@ -70,16 +70,16 @@ class MappingReport:
     program_latency_us: float
 
 
-def _prepare_kernel(kernel, profile, params, cfg, eps, seed) -> KernelMapping:
+def _prepare_kernel(kernel, profile, params, cfg, eps) -> KernelMapping:
     """Every budget-independent step: dependency graph, partition, geometry,
     delays, binding and quantized durations. The schedule is left unset."""
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
-    g = level_graph(build_qodg(kernel, profile))
+    g = build_qodg(kernel, profile)
     timings["qodg"] = (time.perf_counter() - t0) * 1e3
 
     t0 = time.perf_counter()
-    part = kway_partition(g, params.core_count, eps, seed)
+    part = kway_partition(g, params.core_count, eps)
     timings["partition"] = (time.perf_counter() - t0) * 1e3
 
     t0 = time.perf_counter()
@@ -95,7 +95,7 @@ def _prepare_kernel(kernel, profile, params, cfg, eps, seed) -> KernelMapping:
 
 
 def _prepare_program(program: KernelProgram, profile: QecProfile, params: FabricParams,
-                     cfg: ScheduleConfig, eps: float, seed: int
+                     cfg: ScheduleConfig, eps: float
                      ) -> tuple[KernelCatalog, dict[str, KernelMapping]]:
     """Check the program and the budget, identify its distinct kernels and
     prepare each one, in representative id order."""
@@ -105,7 +105,7 @@ def _prepare_program(program: KernelProgram, profile: QecProfile, params: Fabric
     catalog = identify_kernels(program)
     needed = sorted({rep for _, rep, _ in catalog.stage_instances})
     return catalog, {
-        rep: _prepare_kernel(catalog.representatives[rep], profile, params, cfg, eps, seed)
+        rep: _prepare_kernel(catalog.representatives[rep], profile, params, cfg, eps)
         for rep in needed
     }
 
@@ -131,12 +131,11 @@ def _program_latency(catalog: KernelCatalog, kernel_latency_us) -> float:
 
 
 def map_program(program: KernelProgram, profile: QecProfile, params: FabricParams,
-                cfg: ScheduleConfig | None = None, eps: float = 0.1,
-                seed: int = 0) -> MappingReport:
+                cfg: ScheduleConfig | None = None, eps: float = 0.1) -> MappingReport:
     """Run the whole pipeline; each distinct kernel is mapped exactly once
     and every schedule is verified."""
     cfg = cfg or ScheduleConfig()
-    catalog, kernel_maps = _prepare_program(program, profile, params, cfg, eps, seed)
+    catalog, kernel_maps = _prepare_program(program, profile, params, cfg, eps)
     for km in kernel_maps.values():
         t0 = time.perf_counter()
         km.schedule = _schedule_kernel(km, params.budget_per_core)
@@ -238,8 +237,7 @@ class SweepResult:
 
 
 def sweep_budget(program: KernelProgram, profile: QecProfile, params: FabricParams,
-                 budgets, cfg: ScheduleConfig | None = None, eps: float = 0.1,
-                 seed: int = 0) -> SweepResult:
+                 budgets, cfg: ScheduleConfig | None = None, eps: float = 0.1) -> SweepResult:
     """Latency as a function of total ancilla budget.
 
     A budget that `FabricParams.validate_against` rejects is skipped with
@@ -277,7 +275,7 @@ def sweep_budget(program: KernelProgram, profile: QecProfile, params: FabricPara
     # with no feasible budget only an empty program gets here, and
     # _prepare_program rejects it before it looks at the budget
     pinned = feasible[-1] if feasible else params
-    catalog, prepared = _prepare_program(program, profile, pinned, cfg, eps, seed)
+    catalog, prepared = _prepare_program(program, profile, pinned, cfg, eps)
 
     unbounded = int(max(int(km.qodg.ancilla.sum()) for km in prepared.values())) + 1
     unbounded_sched: dict[str, MappedSchedule] = {}
@@ -306,8 +304,7 @@ def sweep_budget(program: KernelProgram, profile: QecProfile, params: FabricPara
 
 
 def sweep_cores(program: KernelProgram, profile: QecProfile, params: FabricParams,
-                k_values, cfg: ScheduleConfig | None = None, eps: float = 0.1,
-                seed: int = 0) -> SweepResult:
+                k_values, cfg: ScheduleConfig | None = None, eps: float = 0.1) -> SweepResult:
     """Latency as a function of core count; k = 1 is always included as the
     baseline. Kernels with fewer operations than cores still map, leaving
     some cores empty. A core count the budget cannot support (per-core
@@ -325,7 +322,7 @@ def sweep_cores(program: KernelProgram, profile: QecProfile, params: FabricParam
             skipped.append((k, str(exc)))
             continue
         t0 = time.perf_counter()
-        rep = map_program(program, profile, pk, cfg, eps, seed)
+        rep = map_program(program, profile, pk, cfg, eps)
         points.append(SweepPoint(k, rep.program_latency_us, (time.perf_counter() - t0) * 1e3))
     return SweepResult(points, skipped)
 

@@ -34,6 +34,14 @@ class OpCost:
     delay_us: float
     transversal: bool
 
+    def __post_init__(self):
+        # a delay of 0 is legal here: such an op takes no level and holds no
+        # ancilla; profile files ask for a positive delay
+        if self.ancilla < 1:
+            raise ConfigError(f"operation ancilla must be >= 1, got {self.ancilla}")
+        if not math.isfinite(self.delay_us) or self.delay_us < 0:
+            raise ConfigError(f"operation delay must be finite and >= 0, got {self.delay_us} us")
+
 
 @dataclass(frozen=True)
 class QecProfile:
@@ -42,6 +50,12 @@ class QecProfile:
     code_name: str
     code_length: int
     rows: Mapping[str, OpCost]
+
+    def __post_init__(self):
+        if self.code_length < 1:
+            raise ConfigError(f"code length must be >= 1, got {self.code_length}")
+        if not self.rows:
+            raise ConfigError(f"QEC profile '{self.code_name}' has no operation rows")
 
     @property
     def a_min(self) -> int:

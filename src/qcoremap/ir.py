@@ -197,10 +197,14 @@ class _Parser:
         if any(n.split() != [n] for n in names):
             self.error(f"malformed operand list for {head}", lineno)
         operands = []
+        # search past the gate name and the earlier operands: a name may occur in them
+        col = raw.index(head) + len(head)
         for name in names:
+            col = raw.index(name, col)
             if name not in self.qubit_by_name:
-                self.error(f"undeclared qubit '{name}'", lineno, raw.find(name) + 1)
+                self.error(f"undeclared qubit '{name}'", lineno, col + 1)
             operands.append(self.qubit_by_name[name])
+            col += len(name)
         want = 2 if head in TWO_QUBIT_KINDS else 1
         if len(operands) != want:
             self.error(f"{head} takes {want} operand(s), got {len(operands)}", lineno)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .fabric import decimal_fraction
-from .qodg import Qodg
+from .qodg import Qodg, level_graph
 
 
 @dataclass(frozen=True)
@@ -41,14 +41,13 @@ class WeightAnnotation:
 
 
 def assign_weight_vectors(g: Qodg, k: int) -> WeightAnnotation:
-    """Give every level with at least k nodes its own one-hot dimension."""
-    if (g.level < 0).any():
-        raise ValueError("graph must be leveled before weight assignment")
+    """Give every ASAP level with at least k nodes its own one-hot dimension."""
     if k < 1:
         raise ConfigError("part count must be >= 1")
-    wide = np.bincount(g.level) >= k
+    level = level_graph(g)
+    wide = np.bincount(level) >= k
     dim_of = np.where(wide, np.cumsum(wide) - 1, -1)
-    return WeightAnnotation(int(wide.sum()), dim_of[g.level])
+    return WeightAnnotation(int(wide.sum()), dim_of[level])
 
 
 @dataclass(frozen=True)
@@ -436,28 +435,24 @@ class _Bisection:
         return cut
 
 
-def kway_partition(g: Qodg, k: int, eps: float = 0.1, seed: int = 0) -> Partition:
-    """Split the leveled graph into k parts balancing node count and every
-    one-hot level dimension, minimizing the qubit weight of cut edges.
+def kway_partition(g: Qodg, k: int, eps: float = 0.1) -> Partition:
+    """Split the graph into k parts balancing node count and every one-hot
+    level dimension, minimizing the qubit weight of cut edges.
 
     The dimensions come from `assign_weight_vectors(g, k)`, one per wide
-    level. A level holds no edge, so no edge joins two nodes of one
-    dimension, which lets refinement take a dimension's best swap from its
-    two best nodes without searching pairs.
+    ASAP level, which also rejects k < 1. A level holds no edge, so no edge
+    joins two nodes of one dimension, which lets refinement take a
+    dimension's best swap from its two best nodes without searching pairs.
 
-    Deterministic for fixed inputs and seed. The seed only varies one of the
-    refinement restarts; all tie-breaks favor the lowest node index. eps is
-    read as the decimal it prints as (0.1 is 1/10). With fewer operations
-    than parts some parts stay empty.
+    Deterministic: one refinement restart takes a random order drawn from a
+    generator seeded with 0, and all tie-breaks favor the lowest node index.
+    eps is read as the decimal it prints as (0.1 is 1/10). With fewer
+    operations than parts some parts stay empty.
     """
     n = len(g)
-    if k < 1:
-        raise ConfigError("part count must be >= 1")
+    ann = assign_weight_vectors(g, k)
     if not 0 < eps < 1:
         raise ConfigError("balance tolerance must satisfy 0 < eps < 1")
-    if seed < 0:
-        raise ConfigError("seed must be >= 0")
-    ann = assign_weight_vectors(g, k)
 
     eps_f = decimal_fraction(eps)
     dim_lo = {}
@@ -469,7 +464,7 @@ def kway_partition(g: Qodg, k: int, eps: float = 0.1, seed: int = 0) -> Partitio
 
     node_dim = ann.node_dim.tolist()
     assignment = np.full(n, -1, dtype=np.int64)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
 
     def bisect(nodes: list[int], edges, kappa: int, offset: int):
         """Split nodes (global ids, ascending; edges over their local

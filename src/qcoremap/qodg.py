@@ -7,19 +7,19 @@ every edge goes forward: operation order is a topological order, so
 leveling and the critical path are single forward passes.
 
 The graph is array-backed. Node i is `ops[i]` (the kernel body itself), with
-its delay, ancilla count and level at index i of the node arrays. `edges` is
-one int64 table of shape (E, 3), (0, 3) without edges, whose rows are (src,
-dst, shared-qubit count) sorted by (src, dst); `render_dot` recomputes the
-shared qubits themselves from the ops. `preds` stays a tuple of tuples,
-ascending per node, because leveling, the critical path and the scheduler
-walk it in Python loops, where tuple indexing is cheaper than numpy scalar
-access.
+its delay and ancilla count at index i of the node arrays; the ASAP levels
+are not stored, `level_graph` derives them for each reader. `edges` is one
+int64 table of shape (E, 3), (0, 3) without edges, whose rows are (src, dst,
+shared-qubit count) sorted by (src, dst); `render_dot` recomputes the shared
+qubits themselves from the ops. `preds` stays a tuple of tuples, ascending
+per node, because leveling, the critical path and the scheduler walk it in
+Python loops, where tuple indexing is cheaper than numpy scalar access.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -38,7 +38,6 @@ class Qodg:
     ancilla: np.ndarray         # int64 per node
     edges: np.ndarray           # int64 (E, 3): src, dst, shared-qubit count
     preds: tuple[tuple[int, ...], ...]
-    level: np.ndarray           # int64 per node, ASAP level; -1 until leveled
 
     def __len__(self):
         return len(self.ops)
@@ -63,8 +62,7 @@ def build_qodg(kernel: Kernel, profile: "QecProfile") -> Qodg:
     """
     costs = [profile.lookup(op.kind) for op in kernel.body]
     rows = sorted(Counter((i, j) for i, j, _ in _qubit_links(kernel.body)).items())
-    n = len(kernel.body)
-    preds: list[list[int]] = [[] for _ in range(n)]
+    preds: list[list[int]] = [[] for _ in kernel.body]
     for (i, j), _ in rows:
         preds[j].append(i)
     return Qodg(
@@ -74,19 +72,19 @@ def build_qodg(kernel: Kernel, profile: "QecProfile") -> Qodg:
         np.array([c.ancilla for c in costs], dtype=np.int64),
         np.array([(i, j, w) for (i, j), w in rows], dtype=np.int64).reshape(-1, 3),
         tuple(map(tuple, preds)),
-        np.full(n, -1, dtype=np.int64),
     )
 
 
-def level_graph(g: Qodg) -> Qodg:
-    """Assign ASAP levels (level = 1 + max over predecessors, 0 for sources)."""
+def level_graph(g: Qodg) -> np.ndarray:
+    """The int64 ASAP level per node: 1 + max over predecessors, 0 for
+    sources."""
     level = [0] * len(g)
     for v, ps in enumerate(g.preds):
         if ps:
             if max(ps) >= v:
                 raise RuntimeError("backward edge in dependency graph (construction bug)")
             level[v] = 1 + max(level[u] for u in ps)
-    return replace(g, level=np.array(level, dtype=np.int64))
+    return np.array(level, dtype=np.int64)
 
 
 def critical_path(g: Qodg) -> float:
@@ -103,7 +101,7 @@ def render_dot(g: Qodg) -> str:
     """The graph in DOT form (node: kind, level; edge: shared qubits)."""
     name = g.kernel_id.replace("\\", "\\\\").replace('"', '\\"')
     lines = [f'digraph "{name}" {{']
-    for i, (op, lv) in enumerate(zip(g.ops, g.level.tolist())):
+    for i, (op, lv) in enumerate(zip(g.ops, level_graph(g).tolist())):
         lines.append(f'  n{i} [label="{i}:{op.kind}" kind="{op.kind}" level={lv}];')
     shared: dict[tuple[int, int], list[int]] = {}
     for i, j, q in _qubit_links(g.ops):

@@ -336,7 +336,7 @@ def reference_refine(bis, side: list[int], max_passes=8) -> list[int]:
     return side
 
 
-def reference_kway_partition(g, k, eps=0.1, seed=0) -> np.ndarray:
+def reference_kway_partition(g, k, eps=0.1) -> np.ndarray:
     """kway_partition's recursive bisection, refining every start order with
     `reference_refine` and skipping none: not a zero-cut start, not the
     orders after a cut of 0. Each bisection's quotas and initial splits come
@@ -353,7 +353,7 @@ def reference_kway_partition(g, k, eps=0.1, seed=0) -> np.ndarray:
         dim_lo[c], dim_hi[c] = _bound_pair(int(np.sum(ann.node_dim == c)), k, eps_f)
     _, node_hi = _bound_pair(n, k, eps_f)
     assignment = np.full(n, -1, dtype=np.int64)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
 
     node_dim = ann.node_dim.tolist()
 
@@ -655,7 +655,7 @@ def exact_delays(alpha_compute, alpha_core, alpha_cache, alpha_mem,
 # ----------------------------------------------------------------------
 # budget sweep with every stage instance scheduled at every budget
 
-def reference_sweep_budget(program, profile, params, budgets, cfg=None, eps=0.1, seed=0):
+def reference_sweep_budget(program, profile, params, budgets, cfg=None, eps=0.1):
     """`driver.sweep_budget` without schedule reuse: every stage instance is
     scheduled and verified at every feasible budget and at the unbounded
     one, through the driver's own preparation and scheduling steps."""
@@ -676,7 +676,7 @@ def reference_sweep_budget(program, profile, params, budgets, cfg=None, eps=0.1,
     if not feasible and program.sequence.stages:
         return driver.SweepResult([], skipped)
     pinned = feasible[-1] if feasible else params
-    catalog, prepared = driver._prepare_program(program, profile, pinned, cfg, eps, seed)
+    catalog, prepared = driver._prepare_program(program, profile, pinned, cfg, eps)
 
     def program_latency(budget_per_core):
         return float(sum(

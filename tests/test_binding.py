@@ -135,3 +135,10 @@ def test_non_finite_matrix_entry_is_rejected(matrix, value, k):
     (w if matrix == "traffic" else d)[1, 0] = value
     with pytest.raises(ConfigError, match="finite"):
         bind_parts(w, d)
+
+
+@pytest.mark.parametrize("w_shape, d_shape", [((4, 4), (3, 3)), ((4, 3), (4, 3)), ((4,), (4,))],
+                         ids=["k-mismatch", "not-square", "one-dimensional"])
+def test_matrices_that_are_not_both_k_by_k_are_rejected(w_shape, d_shape):
+    with pytest.raises(ConfigError, match="matrices must both be k x k"):
+        bind_parts(np.ones(w_shape), np.ones(d_shape))

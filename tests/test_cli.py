@@ -54,6 +54,19 @@ def test_sweep_rejects_the_option_its_axis_replaces(netlist, capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["map", "-k", "2", "-A", "400"],
+    ["sweep-budget", "-k", "2", "--from", "200", "--to", "400", "--step", "100"],
+    ["sweep-cores", "-A", "800", "--k-list", "1,2"],
+], ids=["map", "sweep-budget", "sweep-cores"])
+def test_seed_is_not_an_option(netlist, capsys, argv):
+    # the partitioner's one random restart order always comes from seed 0
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], netlist, "--qec", "steane"] + argv[1:] + ["--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
 def test_sweep_cores_writes_csv_to_stdout(netlist, capsys):
     assert main(["sweep-cores", netlist, "--qec", "steane", "-A", "800", "--k-list", "1,2,4"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -71,6 +84,13 @@ def test_netlist_syntax_error_exits_three(tmp_path, capsys):
     bad.write_text("qubit a\nFOO a\n", encoding="utf-8")
     assert main(["map", str(bad), "--qec", "steane", "-k", "1", "-A", "100"]) == 3
     assert "parse error: line 2" in capsys.readouterr().err
+
+
+def test_netlist_without_operations_exits_two(tmp_path, capsys):
+    path = tmp_path / "empty.qn"
+    path.write_text("qubit a\n", encoding="utf-8")
+    assert main(["map", str(path), "--qec", "steane", "-k", "1", "-A", "100"]) == 2
+    assert capsys.readouterr().err == "configuration error: program contains no operations to map\n"
 
 
 # ----------------------------------------------------------------------
@@ -194,10 +214,8 @@ def test_huge_finite_option_exits_two(netlist, capsys, option, value):
 
 
 @pytest.mark.parametrize("argv", [
-    ["map", "-k", "2", "-A", "400", "--seed", "-1"],
-    ["sweep-cores", "-A", "800", "--k-list", "1,2", "--seed", "-1"],
     ["sweep-cores", "-A", "800", "--k-list", "1,2", "--epsilon", "1.5"],
-], ids=["map-seed", "sweep-cores-seed", "sweep-cores-epsilon"])
+], ids=["sweep-cores-epsilon"])
 def test_bad_partition_option_exits_two(netlist, capsys, argv):
     # sweep-cores skips only core counts the budget cannot support, so an
     # option no k can use ends the run instead of skipping every k

@@ -9,6 +9,7 @@ from oracles import reference_sweep_budget
 
 import qcoremap.driver as driver
 from qcoremap import (
+    ConfigError,
     FabricParams,
     ScheduleConfig,
     critical_path,
@@ -42,6 +43,11 @@ def test_kernels_smaller_than_k_map(text, k, steane):
         assert len(km.qodg) < k
         assert sum(len(p) for p in km.partition.parts()) == len(km.qodg)
         assert sorted(km.binding.part_to_core) == list(range(k))
+
+
+def test_program_without_operations_is_rejected(steane):
+    with pytest.raises(ConfigError, match="^program contains no operations to map$"):
+        map_program(parse_program("qubit a\n"), steane, FabricParams(2, 400))
 
 
 def test_sweep_cores_maps_more_cores_than_operations(steane):
@@ -117,7 +123,7 @@ def _kernel_programs(draw):
 def _stage_peaks(program, steane, params, cfg):
     """The representative of each stage instance, and each kernel's ancilla
     peak when scheduled at the unbounded budget."""
-    catalog, prepared = driver._prepare_program(program, steane, params, cfg, 0.1, 0)
+    catalog, prepared = driver._prepare_program(program, steane, params, cfg, 0.1)
     unbounded = max(int(km.qodg.ancilla.sum()) for km in prepared.values()) + 1
     peak = {rep: ancilla_peak(driver._schedule_kernel(km, unbounded), km.qodg)
             for rep, km in prepared.items()}

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from qcoremap import (
     delay_matrix,
     grid_layout,
     kway_partition,
-    level_graph,
     load_qec_profile,
 )
 from qcoremap.fabric import OpCost, QecProfile
@@ -95,6 +95,60 @@ def test_profile_without_nontransversal_warns():
         load_qec_profile(text)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("delay_us", -40.0, "delay must be finite and >= 0, got -40.0 us"),
+    ("delay_us", math.nan, "delay must be finite and >= 0, got nan us"),
+    ("delay_us", math.inf, "delay must be finite and >= 0, got inf us"),
+    ("ancilla", 0, "ancilla must be >= 1, got 0"),
+], ids=["negative-delay", "nan-delay", "inf-delay", "zero-ancilla"])
+def test_hand_built_op_cost_is_checked(steane, field, value, message):
+    # unchecked, each row failed deep inside map_program: an IndexError in
+    # the scheduler, a Fraction of NaN, a division by zero in the geometry
+    with pytest.raises(ConfigError, match=f"^operation {message}$"):
+        replace(steane.rows["H"], **{field: value})
+
+
+def test_hand_built_profile_without_rows_is_rejected():
+    # unchecked, a_min raised ValueError from min() of nothing
+    with pytest.raises(ConfigError, match="^QEC profile 'empty' has no operation rows$"):
+        QecProfile("empty", 7, {})
+
+
+@pytest.mark.parametrize("length", [0, -7])
+def test_hand_built_profile_code_length_below_one_is_rejected(steane, length):
+    with pytest.raises(ConfigError, match=f"^code length must be >= 1, got {length}$"):
+        QecProfile("short", length, steane.rows)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("code x\n", "line 1: expected 'code <name> length <L>'"),
+    ("code x size 7\n", "line 1: expected 'code <name> length <L>'"),
+    ("code x length 0\n", "line 1: code length must be positive"),
+    ("code x length 7\nop H ancilla 28 delay_us 40\n", "line 2: expected 'op <KIND> ancilla"),
+    ("code x length 7\n", "'x' has no operation rows"),
+], ids=["no-length", "misnamed-length", "length-0", "op-field-count", "no-op-rows"])
+def test_profile_header_and_row_shape_errors(text, message):
+    with pytest.raises(ConfigError, match=f"^profile {message}"):
+        load_qec_profile(text)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(core_count=0), "core count must be >= 1"),
+    (dict(beta_pmd=0.0), "beta_pmd and alpha_int must be positive"),
+    (dict(beta_pmd=-10.0), "beta_pmd and alpha_int must be positive"),
+    (dict(alpha_int=0), "beta_pmd and alpha_int must be positive"),
+    (dict(gamma_mem=-0.2), "gamma_mem nonnegative"),
+], ids=["k-0", "beta-0", "beta-negative", "alpha-int-0", "gamma-negative"])
+def test_fabric_params_reject_out_of_range_constants(kwargs, message):
+    with pytest.raises(ConfigError, match=message):
+        FabricParams(**{"core_count": 2, "ancilla_budget": 800, **kwargs})
+
+
+def test_grid_layout_needs_a_core():
+    with pytest.raises(ConfigError, match="^core count must be >= 1$"):
+        grid_layout(0)
+
+
 def test_missing_kind_surfaces_at_graph_build(steane):
     prof = QecProfile("nocnot", 7, {k: v for k, v in steane.rows.items() if k != "CNOT"})
     _, kern = single_kernel("qubit a\nqubit b\nCNOT a,b\n")
@@ -167,7 +221,7 @@ def test_compute_dmax(uniform_profile):
         "qubit a\nqubit b\nqubit c\nqubit d\n"
         "H a\nCNOT a,b\nH c\nCNOT a,c\nH d\nCNOT a,d\n"
     )
-    g = level_graph(build_qodg(kern, uniform_profile))
+    g = build_qodg(kern, uniform_profile)
     part = kway_partition(g, 2)
     dmax = compute_dmax(g, part)
     parts = part.parts()

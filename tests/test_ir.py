@@ -85,6 +85,24 @@ def test_gate_lines_split_on_any_whitespace():
     assert parse_program("qubit a\nqubit\tb\nH\ta\nCNOT \t a ,\tb\n") == spaced
 
 
+@pytest.mark.parametrize("text, message", [
+    ("qubit ab\nCNOT ab,a\n", "line 2, col 9: undeclared qubit 'a'"),
+    ("qubit b\nCNOT b,C\n", "line 2, col 8: undeclared qubit 'C'"),
+    ("T T\n", "line 1, col 3: undeclared qubit 'T'"),
+])
+def test_undeclared_qubit_column_is_the_operands_own(text, message):
+    # the name also occurs earlier on the line: in the operand before it,
+    # or as the gate name
+    with pytest.raises(NetlistError) as exc:
+        parse_program(text)
+    assert str(exc.value) == message
+
+
+def test_netlist_error_without_a_line_is_its_message():
+    assert str(NetlistError("m")) == "m"
+    assert str(NetlistError("m", line=3)) == "line 3: m"
+
+
 def test_parse_error_reports_line():
     with pytest.raises(NetlistError) as exc:
         parse_program("qubit a\nH a\nBAD a\n")

@@ -16,11 +16,11 @@ from conftest import ops_to_netlist, random_ops
 from oracles import best_two_way_cut, reference_kway_partition, reference_refine
 
 from qcoremap import (
+    ConfigError,
     assign_weight_vectors,
     build_qodg,
     bundled_profile,
     kway_partition,
-    level_graph,
     parse_program,
     traffic_matrix,
 )
@@ -120,8 +120,8 @@ def _kway_bisections(g, k, eps=0.1):
 @pytest.mark.parametrize("seed", [14, 15])
 def test_refine_equals_full_rescan_at_corpus_scale(seed):
     # the first two map-random inputs of benchmark seed 1: 500 ops, 44 pools
-    g = level_graph(build_qodg(parse_program(random_netlist(500, 32, seed)).kernels["_top0"],
-                               bundled_profile("steane")))
+    g = build_qodg(parse_program(random_netlist(500, 32, seed)).kernels["_top0"],
+                   bundled_profile("steane"))
     top, half = _kway_bisections(g, 4)[:2]
     assert (top.m, top.k1, top.k2) == (500, 2, 2) and (half.k1, half.k2) == (1, 1)
     assert top.n_dims > 40 and half.n_dims > 40
@@ -143,16 +143,14 @@ def _skip_graph(seed, max_ops, max_qubits):
         ops = random_ops(rng, int(rng.integers(1, max_ops + 1)), n_qubits)
     ops += [("T", (n_qubits + q,)) for q in range(n_isolated)]
     text = ops_to_netlist(ops, n_qubits + n_isolated)
-    return level_graph(build_qodg(parse_program(text).kernels["_top0"], bundled_profile("steane")))
+    return build_qodg(parse_program(text).kernels["_top0"], bundled_profile("steane"))
 
 
 @settings(max_examples=150, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([2, 3, 4, 8, 9]),
-       part_seed=st.integers(0, 3))
-def test_kway_equals_refining_every_start(seed, k, part_seed):
+@given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([2, 3, 4, 8, 9]))
+def test_kway_equals_refining_every_start(seed, k):
     g = _skip_graph(seed, 60, 12)
-    got = kway_partition(g, k, seed=part_seed).assignment
-    assert got.tolist() == reference_kway_partition(g, k, seed=part_seed).tolist()
+    assert kway_partition(g, k).assignment.tolist() == reference_kway_partition(g, k).tolist()
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 8, 9])
@@ -160,7 +158,7 @@ def test_no_bisection_holds_an_edge_inside_a_dimension(k):
     # refine takes a dimension's best swap from its two tops, which is
     # exact only while no edge joins two nodes of one dimension
     profile = bundled_profile("steane")
-    graphs = [level_graph(build_qodg(parse_program(text).kernels[name], profile))
+    graphs = [build_qodg(parse_program(text).kernels[name], profile)
               for text in (random_netlist(300, 16, 3), walk_step_netlist(8, 3, reps=2))
               for name in sorted(parse_program(text).kernels)]
     graphs += [_skip_graph(seed, 60, 12) for seed in range(6)]
@@ -252,7 +250,7 @@ def test_balance_bounds_read_eps_as_its_decimal(steane, n, eps, d_lo, d_hi):
     # 9..12 at eps 0.1 (n = 41) and 7..13 at eps 0.3 (n = 40); the binary
     # values of 0.1 and 0.3 would give 8 and 12
     text = ops_to_netlist([("H", (i,)) for i in range(n)], n)
-    g = level_graph(build_qodg(parse_program(text).kernels["_top0"], steane))
+    g = build_qodg(parse_program(text).kernels["_top0"], steane)
     top = _kway_bisections(g, 4, eps)[0]
     assert (top.d_lo, top.d_hi) == ([d_lo], [d_hi])
 
@@ -285,7 +283,7 @@ def _partition_corpus():
     for name, text in texts.items():
         program = parse_program(text)
         for kname in sorted(program.kernels):
-            yield f"{name}/{kname}", level_graph(build_qodg(program.kernels[kname], profile))
+            yield f"{name}/{kname}", build_qodg(program.kernels[kname], profile)
 
 
 def _partition_lines():
@@ -303,7 +301,7 @@ def _graph(seed, max_ops, max_qubits):
     rng = np.random.default_rng(seed)
     n_qubits = int(rng.integers(2, max_qubits + 1))
     text = ops_to_netlist(random_ops(rng, int(rng.integers(1, max_ops + 1)), n_qubits), n_qubits)
-    return level_graph(build_qodg(parse_program(text).kernels["_top0"], bundled_profile("steane")))
+    return build_qodg(parse_program(text).kernels["_top0"], bundled_profile("steane"))
 
 
 @pytest.mark.parametrize("k", [1, 2, 4, 9])
@@ -331,12 +329,19 @@ def test_traffic_matrix_equals_a_per_row_sum(k):
 
 @pytest.mark.parametrize("k", [1, 2, 4, 9])
 def test_traffic_matrix_of_an_edgeless_kernel(k):
-    g = level_graph(build_qodg(parse_program("qubit a\nH a\n").kernels["_top0"],
-                               bundled_profile("steane")))
+    g = build_qodg(parse_program("qubit a\nH a\n").kernels["_top0"], bundled_profile("steane"))
     assert g.edges.shape == (0, 3)
     got = traffic_matrix(g, np.array([k - 1], dtype=np.int64), k)
     assert got.dtype == np.int64 and got.tolist() == [[0] * k for _ in range(k)]
     assert kway_partition(g, k).traffic.tolist() == [[0] * k for _ in range(k)]
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_part_count_below_one_is_rejected(k):
+    g = build_qodg(parse_program("qubit a\nH a\n").kernels["_top0"], bundled_profile("steane"))
+    for split in (kway_partition, assign_weight_vectors):
+        with pytest.raises(ConfigError, match="^part count must be >= 1$"):
+            split(g, k)
 
 
 def _partition_recording_conflicts(mp, g, k, eps):

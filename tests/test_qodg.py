@@ -36,7 +36,7 @@ def shared_qubits(g):
 
 def three_op_kernel(uniform_profile):
     _, k = single_kernel("qubit a\nqubit b\nqubit c\nCNOT a,b\nT b\nCNOT a,c\n")
-    return level_graph(build_qodg(k, uniform_profile))
+    return build_qodg(k, uniform_profile)
 
 
 def test_three_op_example_edges(uniform_profile):
@@ -67,14 +67,13 @@ def test_cnot_pair_shares_both_qubits(uniform_profile):
 
 
 def test_levels_of_three_op_example(uniform_profile):
-    g = three_op_kernel(uniform_profile)
-    assert g.level.tolist() == [0, 1, 1]
+    assert level_graph(three_op_kernel(uniform_profile)).tolist() == [0, 1, 1]
 
 
 def test_chain_levels(uniform_profile):
     _, k = single_kernel("qubit q\n" + "T q\n" * 5)
-    g = level_graph(build_qodg(k, uniform_profile))
-    assert g.level.tolist() == [0, 1, 2, 3, 4]
+    level = level_graph(build_qodg(k, uniform_profile))
+    assert level.dtype == np.int64 and level.tolist() == [0, 1, 2, 3, 4]
 
 
 def test_backward_edge_raises(uniform_profile):
@@ -103,12 +102,13 @@ def _netlists(draw):
 @example(text="qubit a\nH a\n")
 def test_levels_and_weight_dims_match_the_references(text, steane):
     _, k = single_kernel(text)
-    g = level_graph(build_qodg(k, steane))
-    assert g.level.tolist() == reference_levels(g).tolist()
-    widest = int(np.bincount(g.level).max())
+    g = build_qodg(k, steane)
+    level = level_graph(g)
+    assert level.tolist() == reference_levels(g).tolist()
+    widest = int(np.bincount(level).max())
     for parts in (*range(1, 7), widest + 1):
         ann = assign_weight_vectors(g, parts)
-        want = reference_node_dim(g.level.tolist(), parts)
+        want = reference_node_dim(level.tolist(), parts)
         assert ann.node_dim.tolist() == want
         assert ann.n_con == len({d for d in want if d >= 0})
     assert assign_weight_vectors(g, widest + 1).n_con == 0
@@ -130,7 +130,7 @@ def test_tdg_inherits_t_row():
 
 def test_critical_path_chain(uniform_profile):
     _, k = single_kernel("qubit q\nT q\nT q\nT q\n")
-    g = level_graph(build_qodg(k, uniform_profile))
+    g = build_qodg(k, uniform_profile)
     assert critical_path(g) == pytest.approx(30.0)
 
 
@@ -178,7 +178,7 @@ def test_critical_path_matches_enumeration(uniform_profile):
         n_q = int(rng.integers(2, 6))
         ops = random_ops(rng, int(rng.integers(1, 12)), n_q)
         _, k = single_kernel(ops_to_netlist(ops, n_q))
-        g = level_graph(build_qodg(k, uniform_profile))
+        g = build_qodg(k, uniform_profile)
         delays = g.delay_us.tolist()
         edges = shared_qubits(g)
         assert critical_path(g) == pytest.approx(longest_path(len(g), edges, delays))
@@ -190,11 +190,6 @@ def test_dot_dump(uniform_profile):
     assert "digraph" in text
     assert 'n0 -> n1 [qubits="1"];' in text
     assert "level=1" in text
-
-
-def test_dot_dump_of_unleveled_graph(uniform_profile):
-    _, k = single_kernel("qubit a\nqubit b\nCNOT a,b\nH a\n")
-    assert render_dot(build_qodg(k, uniform_profile)).count("level=-1") == 2
 
 
 def test_dot_edge_labels_match_the_pairwise_oracle(uniform_profile):

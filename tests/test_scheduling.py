@@ -15,7 +15,6 @@ from qcoremap import (
     FabricParams,
     ScheduleConfig,
     build_qodg,
-    level_graph,
     list_schedule,
     map_program,
     parse_program,
@@ -25,13 +24,14 @@ from qcoremap import (
 from qcoremap.binding import Binding
 from qcoremap.fabric import OpCost, QecProfile
 from qcoremap.generators import walk_step_netlist
+from qcoremap.ir import Kernel
 from qcoremap.partition import Partition
 from qcoremap.scheduling import MappedSchedule, ScheduledOp, ancilla_peak
 
 
 def _one_op_graph(delay_us):
     profile = QecProfile("flat", 7, {"H": OpCost(10, delay_us, False)})
-    return level_graph(build_qodg(parse_program("qubit a\nH a\n").kernels["_top0"], profile))
+    return build_qodg(parse_program("qubit a\nH a\n").kernels["_top0"], profile)
 
 
 def _levels(delay_us, cycle_time):
@@ -93,7 +93,7 @@ def _bound_schedule(seed, k, cycle, zero_delay_kind=None):
     profile = QecProfile("mixed", 7, rows)
     n_qubits = int(rng.integers(2, 6))
     text = ops_to_netlist(random_ops(rng, int(rng.integers(1, 30)), n_qubits), n_qubits)
-    g = level_graph(build_qodg(parse_program(text).kernels["_top0"], profile))
+    g = build_qodg(parse_program(text).kernels["_top0"], profile)
     part = Partition(rng.integers(0, k, size=len(g)), k, np.zeros((k, k), dtype=np.int64),
                      n_con=0)
     binding = Binding(tuple(int(c) for c in rng.permutation(k)), 0.0, True)
@@ -154,18 +154,37 @@ def test_zero_level_ops_start_when_ready_and_hold_no_ancilla(seed):
     _assert_matches_levelwise(g, core, lev, budget, sched, 2)
 
 
+def _one_core(g):
+    """A one-core partition and binding of g, and its durations at a 1 us
+    cycle."""
+    part = Partition(np.zeros(len(g), dtype=np.int64), 1, np.zeros((1, 1), dtype=np.int64), 0)
+    return part, Binding((0,), 0.0, True), quantize(g, np.array([[1.0]]), ScheduleConfig(1.0))
+
+
 def test_zero_level_op_between_two_ops():
     rows = {"H": OpCost(5, 0.0, True), "T": OpCost(9, 2.0, True)}
-    g = level_graph(build_qodg(parse_program("qubit a\nT a\nH a\nT a\n").kernels["_top0"],
-                               QecProfile("zero", 7, rows)))
-    part = Partition(np.zeros(3, dtype=np.int64), 1, np.zeros((1, 1), dtype=np.int64), n_con=0)
-    binding = Binding((0,), 0.0, True)
-    lev = quantize(g, np.array([[1.0]]), ScheduleConfig(1.0))
+    g = build_qodg(parse_program("qubit a\nT a\nH a\nT a\n").kernels["_top0"],
+                   QecProfile("zero", 7, rows))
+    part, binding, lev = _one_core(g)
     sched = list_schedule(g, part, binding, 9, lev)
     # T at 1-2, lag 1, H at 4 with no levels, lag 1, T at 5-6
     assert [(op.start, op.dur_levels) for op in sched.ops] == [(1, 2), (4, 0), (5, 2)]
     assert sched.makespan == 6
     assert verify_schedule(sched, g, part, binding, 9, lev) == (True, [])
+
+
+def test_budget_below_an_operations_ancilla_is_rejected(uniform_profile):
+    g = build_qodg(parse_program("qubit a\nH a\nT a\n").kernels["_top0"], uniform_profile)
+    part, binding, lev = _one_core(g)
+    with pytest.raises(ConfigError, match="needs 10 ancilla, exceeding the per-core budget 9"):
+        list_schedule(g, part, binding, 9, lev)
+
+
+def test_empty_kernel_schedules_to_nothing(uniform_profile):
+    # the parser makes no empty kernel, but a hand-built one still schedules
+    g = build_qodg(Kernel("empty", ()), uniform_profile)
+    part, binding, lev = _one_core(g)
+    assert list_schedule(g, part, binding, 1, lev) == MappedSchedule((), 0, 0.0)
 
 
 # ----------------------------------------------------------------------
@@ -249,11 +268,8 @@ def test_verifier_flags_a_duplicated_op(walk_map):
 
 
 def test_verifier_reports_an_op_not_in_the_graph(uniform_profile):
-    g = level_graph(build_qodg(parse_program("qubit a\nH a\nT a\n").kernels["_top0"],
-                               uniform_profile))
-    part = Partition(np.zeros(2, dtype=np.int64), 1, np.zeros((1, 1), dtype=np.int64), n_con=0)
-    binding = Binding((0,), 0.0, True)
-    lev = quantize(g, np.array([[1.0]]), ScheduleConfig(1.0))
+    g = build_qodg(parse_program("qubit a\nH a\nT a\n").kernels["_top0"], uniform_profile)
+    part, binding, lev = _one_core(g)
     sched = list_schedule(g, part, binding, 10, lev)
     assert len(sched.ops) == 2
     for node in (5, -1):
