@@ -142,8 +142,6 @@ def load_qec_profile(text: str) -> QecProfile:
             raise ConfigError(f"profile line {lineno}: unknown entry '{parts[0]}'")
     if name is None or length is None:
         raise ConfigError("profile missing 'code <name> length <L>' header")
-    if not rows:
-        raise ConfigError(f"profile '{name}' has no operation rows")
     profile = QecProfile(name, length, rows)
     if all(r.transversal for r in rows.values()):
         # A universal fault-tolerant set needs a non-transversal member;

@@ -119,14 +119,17 @@ class _Bisection:
         self.d_hi = [min(k1 * dim_hi[c], q - k2 * dim_lo[c]) for c, q in zip(dims_global, self.q)]
         self.n_lo = max(0, self.m - k2 * node_hi)
         self.n_hi = min(k1 * node_hi, self.m)
-        # per node, (neighbour, qubits, key delta) for each edge: refine's
-        # node keys are (-gain << SH) | index with SH = m.bit_length(), so
-        # a gain change of 2w moves a key by (2w) << SH
+        # per node, (neighbour, qubits, key delta) for each edge, read only
+        # by refine: its node keys are (-gain << SH) | index with SH =
+        # m.bit_length(), so a gain change of 2w moves a key by (2w) << SH
         sh = self.m.bit_length()
         self.adj: list[list[tuple[int, int, int]]] = [[] for _ in range(self.m)]
         for a, b, w in self.edges:
             self.adj[a].append((b, w, (2 * w) << sh))
             self.adj[b].append((a, w, (2 * w) << sh))
+        # refine's swap search depth: 1 + the most distinct neighbours of a free node
+        self.n_lead = 1 + max((len({v for v, _, _ in self.adj[i]}) for i in self.unconstrained),
+                              default=0)
 
     # ------------------------------------------------------------------
     def initial(self, order) -> list[int]:
@@ -162,8 +165,9 @@ class _Bisection:
         """Kernighan-Lin refinement: best feasible move or swap per step,
         with locking, then rollback to the best prefix; at most 8 passes,
         stopping after one that gains nothing. Each step locks a node, so a
-        pass ends. Mutates the side list `s` and returns the cut it ends
-        at.
+        pass ends; it also ends after more than max(48, m // 4) steps in a
+        row that do not beat its best prefix. Mutates the side list `s` and
+        returns the cut it ends at.
 
         Pool p < n_dims holds dimension p's nodes, pool n_dims the
         unconstrained ones, and group 2p + s holds pool p's nodes on side
@@ -196,12 +200,16 @@ class _Bisection:
         pool heaps at every step.
 
         Only the unconstrained pool can hold an edge, so it alone is
-        searched pair by pair, when it has at most 64 nodes, by the sorted
-        scan pruned with the bound g(i) + g(j). Each step is the one a full
-        rescan would pick: a move wins a tie with a swap, the lowest index
-        wins among moves and the lowest pool among swaps, and the
-        unconstrained pool, searched last, must be strictly better to
-        replace the best.
+        searched pair by pair, pruned with the bound g(i) + g(j), among its
+        leaders: the D = n_lead best unlocked nodes of each side, popped
+        from their group heaps under the front rule above and pushed back.
+        The first best swap (a, b) in (side-1 rank, side-0 rank) order is
+        there: were b no leader, a side-0 leader, ranked above b, would
+        share no edge with a (which has under D neighbours) and pair with a
+        for at least as much, earlier; likewise for a. Each step is the one
+        a full rescan would pick: a move wins a tie with a swap, the lowest
+        index wins among moves and the lowest pool among swaps, and the
+        unconstrained pool, searched last, must be strictly better.
 
         Work that cannot change the result is skipped. A split of cut 0 is
         returned at once, as no move or swap can gain. Locked nodes stay
@@ -213,14 +221,12 @@ class _Bisection:
         prefix.
         """
         m = self.m
-        stall_cap = m if m <= 96 else max(48, m // 4)
+        stall_cap = max(48, m // 4)
         n_dims, dim, d_lo, d_hi = self.n_dims, self.dim, self.d_lo, self.d_hi
         n_lo, n_hi = self.n_lo, self.n_hi
         pools = self.members + [self.unconstrained]
         base = [2 * c if c >= 0 else 2 * n_dims for c in dim]
         qf = 2 * n_dims         # the unconstrained pool's side-0 group
-        free = self.unconstrained
-        scan_free = len(free) <= 64
         SH = m.bit_length()
         MASK = (1 << SH) - 1
         SP = n_dims.bit_length()
@@ -247,6 +253,31 @@ class _Bisection:
             # a QODG node has at most four neighbours: one before and one
             # after it on each of its qubits
             return sum(w for v, w, _ in adj[i] if v == j)
+
+        def front(h):
+            # repair group heap h's front: its valid entry, or EMPTY
+            while h:
+                e = h[0]
+                kv = EMPTY if locked[e & MASK] else key[e & MASK]
+                if kv == e:
+                    return e
+                if kv == EMPTY:
+                    heappop(h)
+                else:
+                    heapreplace(h, kv)
+            return EMPTY
+
+        def leaders(h):
+            # the n_lead best valid keys of group heap h, in order; a popped
+            # node is marked locked meanwhile, so its other entries drop
+            out = []
+            while len(out) < self.n_lead and (e := front(h)) != EMPTY:
+                locked[heappop(h) & MASK] = True
+                out.append(e)
+            for e in out:
+                locked[e & MASK] = False
+                heappush(h, e)
+            return out
 
         for _ in range(8):
             if cut == 0:
@@ -318,23 +349,18 @@ class _Bisection:
                             g, i, j = -(e >> SP), t1 & MASK, t0 & MASK
                         break
                     heapreplace(pair_heap, v)
-                if scan_free:
-                    t0, t1 = top[qf], top[qf + 1]
-                    if t0 != EMPTY and t1 != EMPTY and -((t0 >> SH) + (t1 >> SH)) > g:
-                        ones = sorted((x for x in free if s[x] and not locked[x]), key=key.__getitem__)
-                        twos = sorted((x for x in free if not s[x] and not locked[x]), key=key.__getitem__)
-                        top2 = -(key[twos[0]] >> SH)
-                        for a in ones:
-                            ga = -(key[a] >> SH)
-                            if ga + top2 <= g:
+                t0, t1 = top[qf], top[qf + 1]
+                if t0 != EMPTY and t1 != EMPTY and -((t0 >> SH) + (t1 >> SH)) > g:
+                    twos = leaders(group[qf])
+                    for ka in leaders(group[qf + 1]):
+                        ga = -(ka >> SH)
+                        for kb in twos:
+                            ub = ga - (kb >> SH)
+                            if ub <= g:
                                 break
-                            for b in twos:
-                                ub = ga - (key[b] >> SH)
-                                if ub <= g:
-                                    break
-                                ub -= 2 * w_direct(a, b)
-                                if ub > g:
-                                    g, i, j = ub, a, b
+                            ub -= 2 * w_direct(ka & MASK, kb & MASK)
+                            if ub > g:
+                                g, i, j = ub, ka & MASK, kb & MASK
                 if i < 0:
                     break
                 reopen = -1         # the group this step lets move again
@@ -397,18 +423,7 @@ class _Bisection:
                         clean.append(q)
                 # repair never lowers a top, so it pushes nothing
                 for q in clean:
-                    h = group[q]
-                    while h:
-                        e = h[0]
-                        v = e & MASK
-                        kv = EMPTY if locked[v] else key[v]
-                        if kv == e:
-                            break
-                        if kv == EMPTY:
-                            heappop(h)
-                        else:
-                            heapreplace(h, kv)
-                    top[q] = h[0] if h else EMPTY
+                    top[q] = front(group[q])
                 if reopen >= 0 and top[reopen] != EMPTY:
                     heappush(heaps[reopen & 1], top[reopen])
                 cum += g
@@ -444,8 +459,11 @@ def kway_partition(g: Qodg, k: int, eps: float = 0.1) -> Partition:
     joins two nodes of one dimension, which lets refinement take a
     dimension's best swap from its two best nodes without searching pairs.
 
-    Deterministic: one refinement restart takes a random order drawn from a
-    generator seeded with 0, and all tie-breaks favor the lowest node index.
+    Each bisection refines three starts up to 512 nodes (the node order,
+    its reverse and a random order from a generator seeded with 0) and
+    only the first above: the one rule that depends on size, since three
+    starts would triple the refines there and no workload bisects more
+    than 512 nodes yet. Ties favor the lowest node index.
     eps is read as the decimal it prints as (0.1 is 1/10). With fewer
     operations than parts some parts stay empty.
     """
@@ -480,8 +498,6 @@ def kway_partition(g: Qodg, k: int, eps: float = 0.1) -> Partition:
         if m <= 512:
             orders.append(range(m - 1, -1, -1))
             orders.append(rng.permutation(m).tolist())
-        if m <= 96:
-            orders.append(sorted(range(m), key=lambda i: (-len(bis.adj[i]), i)))
         # only a strictly smaller cut replaces the best: stop at cut 0
         best_side = best_cut = None
         for order in orders:

@@ -213,9 +213,8 @@ def reference_refine(bis, side: list[int], max_passes=8) -> list[int]:
     m = bis.m
     if m == 0:
         return side
-    stall_cap = m if m <= 96 else max(48, m // 4)
+    stall_cap = max(48, m // 4)
     unconstrained = bis.unconstrained
-    small_uswaps = 0 < len(unconstrained) ** 2 <= 4096
     ext = np.zeros(m, dtype=np.int64)
     itn = np.zeros(m, dtype=np.int64)
     for a, b, w in bis.edges:
@@ -277,8 +276,7 @@ def reference_refine(bis, side: list[int], max_passes=8) -> list[int]:
                 masked = np.where(elig, gain, np.iinfo(np.int64).min)
                 i = int(masked.argmax())
                 best = (int(masked[i]), 0, i, -1)
-            pools = list(range(bis.n_dims)) + ([-1] if small_uswaps else [])
-            for pool_id in pools:
+            for pool_id in list(range(bis.n_dims)) + [-1]:
                 src = bis.members[pool_id] if pool_id >= 0 else unconstrained
                 ones = [i for i in src if side[i] and not locked[i]]
                 twos = [i for i in src if not side[i] and not locked[i]]
@@ -369,8 +367,6 @@ def reference_kway_partition(g, k, eps=0.1) -> np.ndarray:
         if m <= 512:
             orders.append(list(reversed(range(m))))
             orders.append(rng.permutation(m).tolist())
-        if m <= 96:
-            orders.append(sorted(range(m), key=lambda i: (-len(bis.adj[i]), i)))
         best_side = None
         best_cut = None
         for order in orders:

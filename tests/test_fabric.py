@@ -121,14 +121,15 @@ def test_hand_built_profile_code_length_below_one_is_rejected(steane, length):
 
 
 @pytest.mark.parametrize("text, message", [
-    ("code x\n", "line 1: expected 'code <name> length <L>'"),
-    ("code x size 7\n", "line 1: expected 'code <name> length <L>'"),
-    ("code x length 0\n", "line 1: code length must be positive"),
-    ("code x length 7\nop H ancilla 28 delay_us 40\n", "line 2: expected 'op <KIND> ancilla"),
-    ("code x length 7\n", "'x' has no operation rows"),
+    ("code x\n", "profile line 1: expected 'code <name> length <L>'"),
+    ("code x size 7\n", "profile line 1: expected 'code <name> length <L>'"),
+    ("code x length 0\n", "profile line 1: code length must be positive"),
+    ("code x length 7\nop H ancilla 28 delay_us 40\n", "profile line 2: expected 'op <KIND> ancilla"),
+    # the loader leaves this check to QecProfile
+    ("code x length 7\n", "QEC profile 'x' has no operation rows$"),
 ], ids=["no-length", "misnamed-length", "length-0", "op-field-count", "no-op-rows"])
 def test_profile_header_and_row_shape_errors(text, message):
-    with pytest.raises(ConfigError, match=f"^profile {message}"):
+    with pytest.raises(ConfigError, match=f"^{message}"):
         load_qec_profile(text)
 
 

@@ -91,12 +91,12 @@ def test_refine_equals_full_rescan(seed, m, n_dims, p_free, max_w, k1, k2):
 
 
 @pytest.mark.parametrize("seed", range(4))
-@pytest.mark.parametrize("m, p_free, swaps_searched", [(60, 1.0, True), (90, 1.0, False), (80, 0.5, True)])
-def test_refine_equals_full_rescan_on_unconstrained_pools(seed, m, p_free, swaps_searched):
-    # unit weights and parallel edges: many equal gains; 64 free nodes is
-    # the largest pool whose swaps are searched
+@pytest.mark.parametrize("m, p_free, small", [(60, 1.0, True), (90, 1.0, False), (80, 0.5, True)])
+def test_refine_equals_full_rescan_on_unconstrained_pools(seed, m, p_free, small):
+    # unit weights and parallel edges: many equal gains, so the leader
+    # search often sees ties; pools of up to 64 free nodes and above
     bis, rng = _random_bisection(seed, m, 4, p_free, 1, 1, 1)
-    assert (0 < len(bis.unconstrained) <= 64) == swaps_searched
+    assert (0 < len(bis.unconstrained) <= 64) == small
     assert bis.n_dims == 0 or p_free < 1
     _assert_replays(bis, rng)
 
@@ -209,13 +209,30 @@ def _hand_bisection(node_dim, edges, dim_lo, dim_hi, node_hi):
 
 
 def test_refine_runs_the_sorted_scan_when_the_pool_tops_share_an_edge():
-    # four unconstrained nodes held at two per side, so only swaps are
-    # legal. The tops 0 and 2 share an edge of 3: swapping them gains
-    # 3 + 3 - 6 = 0, while (0, 3) gains 5 and ends with a cut of 0
-    bis = _hand_bisection([-1, -1, -1, -1], [(0, 2, 3), (1, 3, 2)], {}, {}, 2)
-    side = [1, 1, 0, 0]
-    assert reference_refine(bis, side.copy()) == [0, 1, 0, 1]
-    assert bis.refine(side) == 0 and side == [0, 1, 0, 1]
+    # four unconstrained nodes, alone or with 66 isolated ones, held at
+    # half per side, so only swaps are legal. The tops 0 and 2 share an
+    # edge of 3: swapping them gains 3 + 3 - 6 = 0, while (0, 3) gains 5
+    # and ends with a cut of 0. A pool of 70 nodes is searched like one of 4
+    for pad in (0, 33):
+        bis = _hand_bisection([-1] * (4 + 2 * pad), [(0, 2, 3), (1, 3, 2)], {}, {}, 2 + pad)
+        side = [1, 1, 0, 0] + [1] * pad + [0] * pad
+        want = [0, 1, 0, 1] + side[4:]
+        assert reference_refine(bis, side.copy()) == want
+        assert bis.refine(side) == 0 and side == want
+
+
+def test_refine_searches_past_the_neighbours_of_a_leader():
+    # node 0 on side 1 shares an edge with each of 1..5 on side 0, and node
+    # 6 one with node 7 on side 1; 8..13 are isolated, seven nodes per side.
+    # Nodes 1..6 all gain 1, so 6 ranks sixth on its side, yet the best
+    # swap is (0, 6): 5 + 1 = 6, where (0, j) for j in 1..5 gains 5 + 1 - 2.
+    # Taking (0, 1) instead ends at a cut of 1
+    bis = _hand_bisection([-1] * 14, [(0, j, 1) for j in range(1, 6)] + [(6, 7, 1)], {}, {}, 7)
+    assert bis.n_lead == 6
+    side = [1, 0, 0, 0, 0, 0, 0, 1, 0, 1, 1, 1, 1, 1]
+    want = [0, 0, 0, 0, 0, 0, 1, 1, 0, 1, 1, 1, 1, 1]
+    assert reference_refine(bis, side.copy()) == want
+    assert bis.refine(side) == 0 and side == want
 
 
 def test_refine_reenters_a_group_whose_moves_turn_feasible_again():
@@ -274,8 +291,10 @@ def _partition_corpus():
         "random400": random_netlist(400, 32, seed=2),
         "walk": walk_step_netlist(8, 3, reps=2),
         # benchmark-size kernels: the first map-random input (3 start
-        # orders, stall cap 125), one above 512 ops (a single start order)
-        # and the budget-sweep kernel shape
+        # orders, stall cap 125), one above 512 ops (a single start order,
+        # the one rule that depends on size) and the budget-sweep kernel
+        # shape. At k=16 few levels hold 16 nodes, so most of the random
+        # kernels' splits search unconstrained pools of over 64 nodes
         "random500": random_netlist(500, 32, seed=14),
         "random600": random_netlist(600, 32, seed=3),
         "walk16": walk_step_netlist(16, 4, seed=5),
@@ -289,7 +308,7 @@ def _partition_corpus():
 def _partition_lines():
     return "".join(
         f"{name} k={k} {''.join(str(p) for p in kway_partition(g, k).assignment.tolist())}\n"
-        for name, g in _partition_corpus() for k in (1, 2, 3, 4, 8, 9)
+        for name, g in _partition_corpus() for k in (1, 2, 3, 4, 8, 9, 16)
     )
 
 
