@@ -121,7 +121,7 @@ class _Parser:
     def _statement(self, line, raw, lineno):
         head = line.split()[0]
         if head == "qubit":
-            self._qubit_decl(line, lineno)
+            self._qubit_decl(line, raw, lineno)
         elif head == ".kernel":
             self._kernel_open(line, lineno)
         elif head == ".endkernel":
@@ -133,13 +133,17 @@ class _Parser:
         else:
             self._gate(line, raw, lineno)
 
-    def _qubit_decl(self, line, lineno):
+    def _qubit_decl(self, line, raw, lineno):
         if self.open_kernel is not None:
             self.error("qubit declaration inside kernel block", lineno)
         parts = line.split()
         if len(parts) != 2:
             self.error("expected 'qubit <name>'", lineno)
         name = parts[1]
+        # operand lists split on commas, so no gate could name it
+        if "," in name:
+            col = raw.index(name, raw.index("qubit") + len("qubit"))
+            self.error(f"qubit name '{name}' holds a comma", lineno, col + 1)
         if name in self.qubit_by_name:
             self.error(f"duplicate qubit '{name}'", lineno)
         self._flush_loose_run()

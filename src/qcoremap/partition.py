@@ -9,14 +9,15 @@ parallel; plain size balance alone tends to stack a level into one part.
 every bisection: a dimension is one ASAP level, and every edge joins two
 different levels, so no edge joins two nodes of one dimension.
 
-The partitioner is recursive bisection with Kernighan-Lin style refinement
-(single moves plus same-dimension swaps, with locking and rollback to the
-best prefix). Cut weight is the number of qubits crossing the cut, which is
-exactly the traffic the binder later pays for. Refinement makes exactly
-the steps of a full rescan of every node and pool, and skips only work
-that cannot change a partition, so every partition equals
-`tests/oracles.py::reference_kway_partition`, which refines every start in
-full; `_Bisection.refine` describes the heaps that find each step.
+The partitioner is recursive bisection. Each bisection starts from one
+split, a node-order prefix of every pool on side 1, and refines it once,
+Kernighan-Lin style (single moves plus same-dimension swaps, with locking
+and rollback to the best prefix). Cut weight is the number of qubits
+crossing the cut, which is exactly the traffic the binder later pays for.
+Refinement makes exactly the steps of a full rescan of every node and pool,
+and skips only work that cannot change a partition, so every partition
+equals `tests/oracles.py::reference_kway_partition`, which refines each
+start in full; `_Bisection.refine` describes the heaps that find each step.
 """
 
 from __future__ import annotations
@@ -83,13 +84,6 @@ def _bound_pair(total: int, k: int, eps: Fraction) -> tuple[int, int]:
     return (total // k) * (den - num) // den, -(-total // k) * (den + num) // den
 
 
-def _stride_pick(m: int, t: int) -> list[int]:
-    """The positions i in 0..m-1 at which (i + 1) * t // m steps up: t of
-    them for 0 <= t <= m, evenly spread. The x-th is the least i with
-    (i + 1) * t >= (x + 1) * m."""
-    return [((x + 1) * m - 1) // t for x in range(t)]
-
-
 class _Bisection:
     """One two-way split of m nodes destined for k1 + k2 final parts.
 
@@ -114,9 +108,9 @@ class _Bisection:
         for i, c in enumerate(self.dim):
             (self.members[c] if c >= 0 else self.unconstrained).append(i)
         # side-1 quota intervals per dimension present in this subset
-        self.q = [len(mem) for mem in self.members]
-        self.d_lo = [max(k1 * dim_lo[c], q - k2 * dim_hi[c]) for c, q in zip(dims_global, self.q)]
-        self.d_hi = [min(k1 * dim_hi[c], q - k2 * dim_lo[c]) for c, q in zip(dims_global, self.q)]
+        q = [len(mem) for mem in self.members]
+        self.d_lo = [max(k1 * dim_lo[c], n - k2 * dim_hi[c]) for c, n in zip(dims_global, q)]
+        self.d_hi = [min(k1 * dim_hi[c], n - k2 * dim_lo[c]) for c, n in zip(dims_global, q)]
         self.n_lo = max(0, self.m - k2 * node_hi)
         self.n_hi = min(k1 * node_hi, self.m)
         # per node, (neighbour, qubits, key delta) for each edge, read only
@@ -132,32 +126,31 @@ class _Bisection:
                               default=0)
 
     # ------------------------------------------------------------------
-    def initial(self, order) -> list[int]:
-        """Quota-respecting initial side assignment along the given order."""
+    def initial(self) -> list[int]:
+        """The one start: side 1 takes the lowest-index t nodes of each pool.
+
+        A dimension's t is its rounded k1 / (k1 + k2) share, clamped to its
+        quotas. The unconstrained pool's t brings the node count nearest
+        that share within the node quotas; where the dimensions' t leave
+        the node quotas no room, the dimension quotas win and t is only
+        clamped to the pool's size."""
         kappa = self.k1 + self.k2
         side = [0] * self.m
-        # one bucket per dimension in order, the last (dim -1) unconstrained
-        buckets: list[list[int]] = [[] for _ in range(self.n_dims + 1)]
-        for i in order:
-            buckets[self.dim[i]].append(i)
         assigned1 = 0
-        for c in range(self.n_dims):
-            members = buckets[c]
-            t = (self.q[c] * self.k1 + kappa // 2) // kappa
+        for c, members in enumerate(self.members):
+            t = (len(members) * self.k1 + kappa // 2) // kappa
             t = min(max(t, self.d_lo[c]), self.d_hi[c])
-            for x in _stride_pick(len(members), t):
-                side[members[x]] = 1
+            for i in members[:t]:
+                side[i] = 1
             assigned1 += t
-        unconstrained = buckets[-1]
-        nu = len(unconstrained)
+        nu = len(self.unconstrained)
         goal = (self.m * self.k1 + kappa // 2) // kappa - assigned1
         lo = max(0, self.n_lo - assigned1)
         hi = min(nu, self.n_hi - assigned1)
         if lo > hi:        # dimension quotas win over node-count balance
             lo = hi = max(0, min(nu, goal))
-        t = min(max(goal, lo), hi)
-        for x in _stride_pick(nu, t):
-            side[unconstrained[x]] = 1
+        for i in self.unconstrained[:min(max(goal, lo), hi)]:
+            side[i] = 1
         return side
 
     # ------------------------------------------------------------------
@@ -459,11 +452,9 @@ def kway_partition(g: Qodg, k: int, eps: float = 0.1) -> Partition:
     joins two nodes of one dimension, which lets refinement take a
     dimension's best swap from its two best nodes without searching pairs.
 
-    Each bisection refines three starts up to 512 nodes (the node order,
-    its reverse and a random order from a generator seeded with 0) and
-    only the first above: the one rule that depends on size, since three
-    starts would triple the refines there and no workload bisects more
-    than 512 nodes yet. Ties favor the lowest node index.
+    Each bisection refines one start, `_Bisection.initial`: side 1 takes
+    the lowest-index nodes of each dimension and of the unconstrained
+    nodes, as many as the quotas give it. Ties favor the lowest node index.
     eps is read as the decimal it prints as (0.1 is 1/10). With fewer
     operations than parts some parts stay empty.
     """
@@ -482,7 +473,6 @@ def kway_partition(g: Qodg, k: int, eps: float = 0.1) -> Partition:
 
     node_dim = ann.node_dim.tolist()
     assignment = np.full(n, -1, dtype=np.int64)
-    rng = np.random.default_rng(0)
 
     def bisect(nodes: list[int], edges, kappa: int, offset: int):
         """Split nodes (global ids, ascending; edges over their local
@@ -493,28 +483,16 @@ def kway_partition(g: Qodg, k: int, eps: float = 0.1) -> Partition:
         k1 = (kappa + 1) // 2
         k2 = kappa - k1
         bis = _Bisection([node_dim[v] for v in nodes], edges, k1, k2, dim_lo, dim_hi, node_hi)
-        m = len(nodes)
-        orders = [range(m)]
-        if m <= 512:
-            orders.append(range(m - 1, -1, -1))
-            orders.append(rng.permutation(m).tolist())
-        # only a strictly smaller cut replaces the best: stop at cut 0
-        best_side = best_cut = None
-        for order in orders:
-            side = bis.initial(order)
-            cut = bis.refine(side)
-            if best_cut is None or cut < best_cut:
-                best_side, best_cut = side, cut
-                if cut == 0:
-                    break
+        side = bis.initial()
+        bis.refine(side)
         # each half's nodes and edges, relabelled to their ranks in the half
         halves, half_edges, rank = ([], []), ([], []), []
-        for v, sd in zip(nodes, best_side):
+        for v, sd in zip(nodes, side):
             rank.append(len(halves[sd]))
             halves[sd].append(v)
         for a, b, w in edges:
-            if best_side[a] == best_side[b]:
-                half_edges[best_side[a]].append((rank[a], rank[b], w))
+            if side[a] == side[b]:
+                half_edges[side[a]].append((rank[a], rank[b], w))
         bisect(halves[1], half_edges[1], k1, offset)
         bisect(halves[0], half_edges[0], k2, offset + k1)
 

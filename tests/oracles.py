@@ -335,11 +335,10 @@ def reference_refine(bis, side: list[int], max_passes=8) -> list[int]:
 
 
 def reference_kway_partition(g, k, eps=0.1) -> np.ndarray:
-    """kway_partition's recursive bisection, refining every start order with
-    `reference_refine` and skipping none: not a zero-cut start, not the
-    orders after a cut of 0. Each bisection's quotas and initial splits come
-    from the production `_Bisection`, which this does not check. Returns
-    the assignment."""
+    """kway_partition's recursive bisection, refining each bisection's one
+    start with `reference_refine` in full, a zero-cut start too. Each
+    bisection's quotas and initial split come from the production
+    `_Bisection`, which this does not check. Returns the assignment."""
     from qcoremap.fabric import decimal_fraction
     from qcoremap.partition import _Bisection, _bound_pair, assign_weight_vectors
 
@@ -351,8 +350,6 @@ def reference_kway_partition(g, k, eps=0.1) -> np.ndarray:
         dim_lo[c], dim_hi[c] = _bound_pair(int(np.sum(ann.node_dim == c)), k, eps_f)
     _, node_hi = _bound_pair(n, k, eps_f)
     assignment = np.full(n, -1, dtype=np.int64)
-    rng = np.random.default_rng(0)
-
     node_dim = ann.node_dim.tolist()
 
     def bisect(nodes, edges, kappa, offset):
@@ -362,21 +359,9 @@ def reference_kway_partition(g, k, eps=0.1) -> np.ndarray:
         k1 = (kappa + 1) // 2
         k2 = kappa - k1
         bis = _Bisection([node_dim[v] for v in nodes], edges, k1, k2, dim_lo, dim_hi, node_hi)
-        m = len(nodes)
-        orders = [list(range(m))]
-        if m <= 512:
-            orders.append(list(reversed(range(m))))
-            orders.append(rng.permutation(m).tolist())
-        best_side = None
-        best_cut = None
-        for order in orders:
-            side = reference_refine(bis, bis.initial(order))
-            cut = sum(w for a, b, w in edges if side[a] != side[b])
-            if best_cut is None or cut < best_cut:
-                best_cut = cut
-                best_side = side
+        side = reference_refine(bis, bis.initial())
         for half, kh, off in ((1, k1, offset), (0, k2, offset + k1)):
-            local = [i for i in range(m) if best_side[i] == half]
+            local = [i for i, sd in enumerate(side) if sd == half]
             rank = {i: r for r, i in enumerate(local)}
             bisect([nodes[i] for i in local],
                    [(rank[a], rank[b], w) for a, b, w in edges if a in rank and b in rank],

@@ -60,7 +60,7 @@ def test_sweep_rejects_the_option_its_axis_replaces(netlist, capsys, argv):
     ["sweep-cores", "-A", "800", "--k-list", "1,2"],
 ], ids=["map", "sweep-budget", "sweep-cores"])
 def test_seed_is_not_an_option(netlist, capsys, argv):
-    # the partitioner's one random restart order always comes from seed 0
+    # the partitioner draws no random numbers, so there is no seed to set
     with pytest.raises(SystemExit) as exc:
         main([argv[0], netlist, "--qec", "steane"] + argv[1:] + ["--seed", "1"])
     assert exc.value.code == 2

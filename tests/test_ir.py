@@ -63,6 +63,8 @@ def test_loose_run_never_takes_a_declared_kernel_id(text, steane):
     ("qubit a\n.kernel K\nqubit b\n", "qubit declaration inside kernel block"),
     ("qubit\n", "expected 'qubit <name>'"),
     ("qubit a b\n", "expected 'qubit <name>'"),
+    ("qubit a,b\nH a\n", "line 1, col 7: qubit name 'a,b' holds a comma"),
+    ("qubit a\nqubit \tb,\n", "line 2, col 8: qubit name 'b,' holds a comma"),
     (".kernel\n", "expected '.kernel <id>'"),
     ("qubit a\n.kernel K\nH a\n.endkernel x\n", "unexpected text after .endkernel"),
     (".kernel K\n.endkernel\n", "kernel 'K' has an empty body"),

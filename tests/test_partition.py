@@ -71,9 +71,21 @@ def _cut(bis, side):
     return sum(w for a, b, w in bis.edges if side[a] != side[b])
 
 
+def _shuffled_within_pools(bis, side, rng):
+    """side with its values permuted within each pool: every dimension's
+    side-1 count and the node count stay, but side 1 is in general no
+    prefix of its pools."""
+    out = side.copy()
+    for pool in bis.members + [bis.unconstrained]:
+        for i, v in zip(pool, rng.permutation([side[i] for i in pool]).tolist()):
+            out[i] = v
+    return out
+
+
 def _assert_replays(bis, rng):
-    starts = [[int(x < 0.5) for x in rng.random(bis.m)], bis.initial(range(bis.m)),
-              bis.initial(rng.permutation(bis.m).tolist())]
+    start = bis.initial()
+    starts = [[int(x < 0.5) for x in rng.random(bis.m)], start,
+              _shuffled_within_pools(bis, start, rng)]
     for side in starts:
         want = reference_refine(bis, side.copy())
         got = side.copy()
@@ -99,6 +111,34 @@ def test_refine_equals_full_rescan_on_unconstrained_pools(seed, m, p_free, small
     assert (0 < len(bis.unconstrained) <= 64) == small
     assert bis.n_dims == 0 or p_free < 1
     _assert_replays(bis, rng)
+
+
+def test_initial_puts_a_prefix_of_each_pool_on_side_1():
+    # side 1 takes the lowest-index nodes of each pool, as many as the
+    # dimension quotas give it and, where they leave room, the node quotas
+    partial = checked_dims = checked_nodes = 0
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        bis, _ = _random_bisection(seed, int(rng.integers(0, 91)), int(rng.integers(0, 9)),
+                                   (0.0, 0.3, 1.0)[seed % 3], 3,
+                                   int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+        side = bis.initial()
+        assert len(side) == bis.m
+        cnt1 = []
+        for pool in bis.members + [bis.unconstrained]:
+            t = sum(side[i] for i in pool)
+            assert [side[i] for i in pool] == [1] * t + [0] * (len(pool) - t)
+            partial += 0 < t < len(pool)    # where a spread start differs
+            cnt1.append(t)
+        for c, t in enumerate(cnt1[:-1]):
+            if bis.d_lo[c] <= bis.d_hi[c]:
+                assert bis.d_lo[c] <= t <= bis.d_hi[c]
+                checked_dims += 1
+        assigned1 = sum(cnt1[:-1])
+        if max(0, bis.n_lo - assigned1) <= min(len(bis.unconstrained), bis.n_hi - assigned1):
+            assert bis.n_lo <= sum(side) <= bis.n_hi
+            checked_nodes += 1
+    assert partial > 100 and checked_dims > 100 and checked_nodes > 100
 
 
 def _kway_bisections(g, k, eps=0.1):
@@ -172,13 +212,13 @@ def test_no_bisection_holds_an_edge_inside_a_dimension(k):
 
 def _zero_cut_starts(g, k):
     """The number of kway_partition's initial splits that cut no edge, so
-    that refine returns them at once and the later orders are not tried."""
+    that refine returns them at once."""
     zero = 0
     real_initial = _Bisection.initial
 
-    def initial(bis, order):
+    def initial(bis):
         nonlocal zero
-        side = real_initial(bis, order)
+        side = real_initial(bis)
         zero += _cut(bis, side) == 0
         return side
 
@@ -290,11 +330,10 @@ def _partition_corpus():
         "random250": random_netlist(250, 16, seed=1),
         "random400": random_netlist(400, 32, seed=2),
         "walk": walk_step_netlist(8, 3, reps=2),
-        # benchmark-size kernels: the first map-random input (3 start
-        # orders, stall cap 125), one above 512 ops (a single start order,
-        # the one rule that depends on size) and the budget-sweep kernel
-        # shape. At k=16 few levels hold 16 nodes, so most of the random
-        # kernels' splits search unconstrained pools of over 64 nodes
+        # benchmark-size kernels: the first map-random input (stall cap
+        # 125), one of 600 ops and the budget-sweep kernel shape. At k=16
+        # few levels hold 16 nodes, so most of the random kernels' splits
+        # search unconstrained pools of over 64 nodes
         "random500": random_netlist(500, 32, seed=14),
         "random600": random_netlist(600, 32, seed=3),
         "walk16": walk_step_netlist(16, 4, seed=5),
@@ -369,8 +408,8 @@ def _partition_recording_conflicts(mp, g, k, eps):
     conflicts = []
     real_initial = _Bisection.initial
 
-    def initial(bis, order):
-        side = real_initial(bis, order)
+    def initial(bis):
+        side = real_initial(bis)
         conflicts.append(not bis.n_lo <= sum(side) <= bis.n_hi)
         return side
 
