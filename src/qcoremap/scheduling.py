@@ -4,10 +4,11 @@ Durations and routing delays are quantized to integer scheduling levels:
 the ceiling of delay / cycle time, computed exactly on the decimal values
 as written (so 2.1 us at a 0.3 us cycle is 7 levels, not the 8 that float
 division gives). Operations are processed in critical-path priority order
-(longest path to any sink, ties to the lower node index) and each takes the earliest start
-level at which its predecessors have finished, routing lags have elapsed,
-and its core's ancilla occupancy stays within the per-core budget for its
-whole duration window.
+(longest path to any sink, ties to the lower node index), which `quantize`
+computes once per kernel, and each takes the earliest start level at which
+its predecessors have finished, routing lags have elapsed, and its core's
+ancilla occupancy stays within the per-core budget for its whole duration
+window.
 
 Each core's ancilla pool is tracked as a timetable, the cumulative-resource
 profile of RCPSP scheduling: a sorted list of breakpoint levels and the
@@ -57,6 +58,7 @@ class LevelizedDurations:
     dur_levels: np.ndarray      # per node, ceil(delay / cycle)
     route_levels: np.ndarray    # k x k, ceil(d / cycle)
     cycle_time: float
+    order: tuple[int, ...]      # node ids, highest priority first
 
 
 # level counts, start levels and ends are stored as int64
@@ -65,7 +67,7 @@ _LEVEL_LIMIT = 2**63 - 1
 
 def quantize(g: Qodg, dmat: np.ndarray, cfg: ScheduleConfig) -> LevelizedDurations:
     """Convert microsecond node delays and k x k routing delays to integer
-    level counts."""
+    level counts, and order the nodes by priority for `list_schedule`."""
     cyc = decimal_fraction(cfg.cycle_time)
     delays = g.delay_us.tolist()
     d = dmat.tolist()
@@ -74,9 +76,11 @@ def quantize(g: Qodg, dmat: np.ndarray, cfg: ScheduleConfig) -> LevelizedDuratio
     if levels[longest] > _LEVEL_LIMIT:
         raise ConfigError(f"a delay of {longest:g} us at cycle time {cfg.cycle_time:g} us "
                           "exceeds 2**63 - 1 levels")
-    dur = np.array([levels[v] for v in delays], dtype=np.int64)
+    dur = [levels[v] for v in delays]
     route = np.array([[levels[v] for v in row] for row in d], dtype=np.int64)
-    return LevelizedDurations(dur, route, cfg.cycle_time)
+    # highest priority first; the sort is stable, so ties go to the lower index
+    order = sorted(range(len(dur)), key=_priorities(g.preds, dur).__getitem__, reverse=True)
+    return LevelizedDurations(np.array(dur, dtype=np.int64), route, cfg.cycle_time, tuple(order))
 
 
 # not frozen: a frozen dataclass sets each field through object.__setattr__,
@@ -183,10 +187,8 @@ def list_schedule(g: Qodg, partition: Partition, binding: Binding,
         return MappedSchedule((), 0, 0.0)
 
     dur = lev.dur_levels.tolist()
-    # highest priority first; the sort is stable, so ties go to the lower index
-    order = sorted(range(n), key=_priorities(g.preds, dur).__getitem__, reverse=True)
     start = _schedule_impl(
-        order, dur, anc.tolist(), core, g.preds,
+        lev.order, dur, anc.tolist(), core, g.preds,
         lev.route_levels.tolist(), len(binding.part_to_core), budget_per_core,
     )
     ops = tuple(map(ScheduledOp, range(n), [op.kind for op in g.ops], core, start, dur))

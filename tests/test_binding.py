@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -20,6 +22,7 @@ from qcoremap import (
     map_program,
     parse_program,
 )
+from qcoremap.binding import _scan_columns
 from qcoremap.generators import random_netlist, walk_step_netlist
 
 
@@ -84,17 +87,24 @@ def _traffic(kind, k, rng):
         w = rng.integers(0, 4, (k, k)).astype(float)
     elif kind == "dense":
         w = rng.random((k, k)) * 10
+    elif kind == "path":
+        # cores-sweep's shape: unit traffic from each part to the next, or
+        # from each part to the one before
+        w[np.arange(k - 1), np.arange(1, k)] = 1.0
+        if rng.random() < 0.5:
+            w = w.T.copy()
     return w
 
 
 @settings(max_examples=60, deadline=None)
 @given(k=st.integers(1, 8),
-       kind=st.sampled_from(["zero", "single", "diagonal", "dense-int", "dense"]),
+       kind=st.sampled_from(["zero", "single", "diagonal", "dense-int", "dense", "path"]),
        mesh=st.booleans(), seed=st.integers(0, 2**32 - 1))
 @example(k=8, kind="dense", mesh=False, seed=0)
 @example(k=8, kind="dense-int", mesh=True, seed=1)
 @example(k=8, kind="single", mesh=True, seed=2)
 @example(k=8, kind="diagonal", mesh=False, seed=3)
+@example(k=8, kind="path", mesh=True, seed=4)
 def test_scan_equals_the_full_table_scan(steane, k, kind, mesh, seed):
     rng = np.random.default_rng(seed)
     w = _traffic(kind, k, rng)
@@ -115,11 +125,20 @@ def test_scan_equals_the_full_table_scan_on_corpus_kernels(text, steane):
                 == reference_table_bind(km.partition.traffic, km.dmat))
 
 
+@pytest.mark.parametrize("k, group_order", [(4, 8), (6, 4), (8, 4)])
+def test_scan_reads_one_column_per_mesh_symmetry_orbit(k, group_order, steane):
+    # the 2 x 2 mesh has the 8 symmetries of a square, the 2 x 3 and 2 x 4
+    # meshes the 4 of a rectangle; a random d has none but the identity
+    assert _scan_columns(_mesh_delays(steane, k)).shape == (k, math.factorial(k) // group_order)
+    d = np.random.default_rng(k).random((k, k)) * 100
+    assert _scan_columns(d).shape == (k, math.factorial(k))
+
+
 @pytest.mark.parametrize("k", range(9, 13))
 def test_greedy_binding_equals_the_numpy_scalar_descent(k, steane):
     rng = np.random.default_rng(20 + k)
     for d in (_mesh_delays(steane, k), rng.random((k, k)) * 100):
-        for kind in ("zero", "single", "dense-int", "dense"):
+        for kind in ("zero", "single", "dense-int", "dense", "path"):
             w = _traffic(kind, k, rng)
             b = bind_parts(w, d)
             assert not b.exhaustive
@@ -137,8 +156,9 @@ def test_non_finite_matrix_entry_is_rejected(matrix, value, k):
         bind_parts(w, d)
 
 
-@pytest.mark.parametrize("w_shape, d_shape", [((4, 4), (3, 3)), ((4, 3), (4, 3)), ((4,), (4,))],
-                         ids=["k-mismatch", "not-square", "one-dimensional"])
+@pytest.mark.parametrize("w_shape, d_shape",
+                         [((4, 4), (3, 3)), ((4, 3), (4, 3)), ((4,), (4,)), ((0, 0), (0, 0))],
+                         ids=["k-mismatch", "not-square", "one-dimensional", "k-zero"])
 def test_matrices_that_are_not_both_k_by_k_are_rejected(w_shape, d_shape):
     with pytest.raises(ConfigError, match="matrices must both be k x k"):
         bind_parts(np.ones(w_shape), np.ones(d_shape))
