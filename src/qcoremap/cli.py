@@ -59,12 +59,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_inputs(args):
-    with open(args.netlist, "r", encoding="utf-8") as fh:
+    # utf-8-sig drops a leading byte-order mark, which editors on Windows write
+    with open(args.netlist, "r", encoding="utf-8-sig") as fh:
         program = parse_program(fh.read())
     if args.qec in BUNDLED:
         profile = bundled_profile(args.qec)
     else:
-        with open(args.qec, "r", encoding="utf-8") as fh:
+        with open(args.qec, "r", encoding="utf-8-sig") as fh:
             profile = load_qec_profile(fh.read())
     return program, profile, ScheduleConfig(cycle_time=args.cycle_time)
 

@@ -6,8 +6,11 @@ by a cache and a memory band. Side lengths (in cells) derive from the
 per-core ancilla budget and the data-qubit population; qubit transfers
 between cores cost a delay proportional to Manhattan distance.
 
-Geometry uses exact rational arithmetic so the ceil/sqrt formulas never
-suffer float rounding at integer boundaries.
+Geometry and delays use exact integer arithmetic, so the ceil/sqrt formulas
+never suffer float rounding at integer boundaries: each rational value is a
+(numerator, denominator) pair of ints, a float input is read as the decimal
+it prints as (`decimal_ratio`), and a delay becomes a float by one int true
+division, which rounds the exact value once, to nearest.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
+from decimal import Decimal
 from importlib import resources
 from typing import TYPE_CHECKING, Mapping
 
@@ -201,14 +204,11 @@ class CoreGeometry:
     alpha_mem: int
 
 
-def _ceil_sqrt(value: Fraction) -> int:
-    """Smallest integer n with n*n >= value (value >= 0)."""
-    if value <= 0:
-        return 0
-    n = math.isqrt(int(value))
-    while Fraction(n * n) < value:
-        n += 1
-    return n
+def _ceil_sqrt(num: int, den: int) -> int:
+    """Smallest integer n >= 0 with n*n >= num / den (den > 0). As n*n is an
+    integer, that is the smallest n with n*n >= ceil(num / den)."""
+    c = -(-num // den)
+    return math.isqrt(c - 1) + 1 if c > 0 else 0
 
 
 def compute_dmax(g: "Qodg", partition: "Partition") -> int:
@@ -223,23 +223,25 @@ def compute_geometry(profile: QecProfile, params: FabricParams, d_max: int) -> C
     """Derive core side lengths from the per-core ancilla budget
     (params.ancilla_budget / params.core_count, exact) and d_max. A budget
     sweep pins the geometry by passing the params of its pinned budget."""
-    a = Fraction(params.ancilla_budget, params.core_count)
-    l_code = profile.code_length
-    radicand = a / profile.a_min * l_code + (a - Fraction(d_max, 2))
+    budget, k = params.ancilla_budget, params.core_count
+    l_code, a_min = profile.code_length, profile.a_min
+    # a / a_min * l_code + (a - d_max / 2) with a = budget / k, over 2 k a_min
+    radicand = 2 * budget * (l_code + a_min) - d_max * k * a_min
     if radicand < 0:
         raise ConfigError(
             "ancilla budget too small for data-qubit population "
-            f"(per-core budget {float(a):g}, d_max {d_max})"
+            f"(per-core budget {budget / k:g}, d_max {d_max})"
         )
-    alpha_compute = _ceil_sqrt(radicand)
-    alpha_core = _ceil_sqrt(Fraction(d_max * l_code) + a)
+    alpha_compute = _ceil_sqrt(radicand, 2 * k * a_min)
+    alpha_core = _ceil_sqrt(d_max * l_code * k + budget, k)
     # cache ring target: cache area ~ twice the compute-region area, capped
     # so compute + cache never exceed the core envelope
-    s = _ceil_sqrt(Fraction(3 * alpha_compute * alpha_compute))
+    s = _ceil_sqrt(3 * alpha_compute * alpha_compute, 1)
     cand_ratio = (s - alpha_compute + 1) // 2  # ceil((sqrt(3)-1)/2 * alpha_compute), exact
-    cand_fit = Fraction(alpha_core - alpha_compute, 2)
-    alpha_cache = max(math.floor(min(Fraction(cand_ratio), cand_fit)), 0)
-    alpha_mem = max(math.ceil(Fraction(alpha_core, 2) - Fraction(alpha_compute, 2) - alpha_cache), 0)
+    cand_fit = (alpha_core - alpha_compute) // 2  # floor of half the spare width
+    alpha_cache = max(min(cand_ratio, cand_fit), 0)
+    # ceil(alpha_core / 2 - alpha_compute / 2 - alpha_cache)
+    alpha_mem = max(-((alpha_compute + 2 * alpha_cache - alpha_core) // 2), 0)
     return CoreGeometry(d_max, alpha_compute, alpha_core, alpha_cache, alpha_mem)
 
 
@@ -252,13 +254,14 @@ def grid_layout(k: int) -> np.ndarray:
     return np.array([(i // cols, i % cols) for i in range(k)], dtype=np.int64)
 
 
-_FLOAT_MAX = Fraction(sys.float_info.max)
+_FLOAT_MAX = int(sys.float_info.max)
 
 
-def decimal_fraction(x: float) -> Fraction:
-    """The decimal a float prints as, exactly: 0.3 is 3/10, not the nearest
-    binary fraction (which is slightly below it)."""
-    return Fraction(repr(float(x)))
+def decimal_ratio(x: float) -> tuple[int, int]:
+    """The decimal a float prints as, exactly, as (numerator, denominator)
+    in lowest terms with den > 0: 0.3 is (3, 10), not the nearest binary
+    fraction (which is slightly below it)."""
+    return Decimal(repr(float(x))).as_integer_ratio()
 
 
 def delay_matrix(geom: CoreGeometry, params: FabricParams, layout: np.ndarray) -> np.ndarray:
@@ -266,16 +269,18 @@ def delay_matrix(geom: CoreGeometry, params: FabricParams, layout: np.ndarray) -
     cache load, the rest Manhattan distance times the unit hop delay.
     beta_pmd and gamma_mem are read as the decimals they print as."""
     k = layout.shape[0]
-    beta = decimal_fraction(params.beta_pmd)
-    gamma = decimal_fraction(params.gamma_mem)
-    inter_unit = (geom.alpha_core + params.alpha_int) * beta
-    intra = (geom.alpha_compute + geom.alpha_cache + gamma * geom.alpha_mem) / 2 * beta
+    b_num, b_den = decimal_ratio(params.beta_pmd)
+    g_num, g_den = decimal_ratio(params.gamma_mem)
+    # one hop is inter / b_den; the cache load is intra / (2 g_den b_den)
+    inter = (geom.alpha_core + params.alpha_int) * b_num
+    intra_den = 2 * g_den * b_den
+    intra = ((geom.alpha_compute + geom.alpha_cache) * g_den + g_num * geom.alpha_mem) * b_num
     hops = int(np.ptp(layout[:, 0]) + np.ptp(layout[:, 1]))
-    if max(intra, hops * inter_unit) > _FLOAT_MAX:
+    if intra > _FLOAT_MAX * intra_den or hops * inter > _FLOAT_MAX * b_den:
         raise ConfigError("routing delays exceed the largest float; "
                           "beta_pmd, alpha_int or gamma_mem is too large")
     # one exact value per hop count, indexed by each pair's Manhattan distance
-    per_hop = np.array([float(s * inter_unit) for s in range(hops + 1)])
+    per_hop = np.array([s * inter / b_den for s in range(hops + 1)])
     d = per_hop[np.abs(layout[:, None, :] - layout[None, :, :]).sum(axis=2)]
-    np.fill_diagonal(d, float(intra))
+    np.fill_diagonal(d, intra / intra_den)
     return d

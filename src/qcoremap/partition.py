@@ -18,18 +18,22 @@ Refinement makes exactly the steps of a full rescan of every node and pool,
 and skips only work that cannot change a partition, so every partition
 equals `tests/oracles.py::reference_kway_partition`, which refines each
 start in full; `_Bisection.refine` describes the heaps that find each step.
+Two lower bounds on every cut a pass can still reach end the work early:
+the locked-cut `floor`, and `_Bisection.cut_lb`, which is 1 on a connected
+subgraph whose quotas keep both sides nonempty. Many bisections of a walk
+kernel start at cut 1 on such a subgraph, and they make no step at all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 from heapq import heapify, heappop, heappush, heapreplace
 
 import numpy as np
 
 from .errors import ConfigError
-from .fabric import decimal_fraction
+from .fabric import decimal_ratio
 from .qodg import Qodg, level_graph
 
 
@@ -76,11 +80,12 @@ def traffic_matrix(g: Qodg, assignment: np.ndarray, k: int) -> np.ndarray:
     return w
 
 
-def _bound_pair(total: int, k: int, eps: Fraction) -> tuple[int, int]:
-    # lower bound rounded down; upper bound is the largest integer count not
-    # exceeding ceil(total/k)*(1+eps), which keeps wide levels genuinely
-    # spread (a 2-node level at k=2 must split 1/1 under eps=0.1)
-    num, den = eps.numerator, eps.denominator
+def _bound_pair(total: int, k: int, eps: tuple[int, int]) -> tuple[int, int]:
+    # eps is (numerator, denominator); lower bound rounded down; upper bound
+    # is the largest integer count not exceeding ceil(total/k)*(1+eps), which
+    # keeps wide levels genuinely spread (a 2-node level at k=2 must split
+    # 1/1 under eps=0.1)
+    num, den = eps
     return (total // k) * (den - num) // den, -(-total // k) * (den + num) // den
 
 
@@ -124,6 +129,32 @@ class _Bisection:
         # refine's swap search depth: 1 + the most distinct neighbours of a free node
         self.n_lead = 1 + max((len({v for v, _, _ in self.adj[i]}) for i in self.unconstrained),
                               default=0)
+
+    @cached_property
+    def cut_lb(self) -> int:
+        """A lower bound on the cut of every split `refine` reaches from a
+        start of cut >= 1: 1 when the node quotas keep both sides nonempty
+        (n_lo >= 1 and n_hi <= m - 1) and the subgraph is connected, else 0.
+
+        Such a start has two nonempty sides. A move leaves side 1 only if
+        n1 - 1 >= n_lo >= 1 and leaves side 0 only if n1 + 1 <= n_hi <= m - 1,
+        and a swap keeps n1, so both sides stay nonempty, and a split of a
+        connected graph into two nonempty sides cuts at least one edge.
+        Computed once, when `refine` first meets a cut of 1."""
+        m = self.m
+        if self.n_lo < 1 or self.n_hi > m - 1:
+            return 0
+        seen = [False] * m
+        seen[0] = True
+        stack = [0]
+        reached = 1
+        while stack:
+            for v, _, _ in self.adj[stack.pop()]:
+                if not seen[v]:
+                    seen[v] = True
+                    reached += 1
+                    stack.append(v)
+        return int(reached == m)
 
     # ------------------------------------------------------------------
     def initial(self) -> list[int]:
@@ -204,14 +235,19 @@ class _Bisection:
         index wins among moves and the lowest pool among swaps, and the
         unconstrained pool, searched last, must be strictly better.
 
-        Work that cannot change the result is skipped. A split of cut 0 is
-        returned at once, as no move or swap can gain. Locked nodes stay
-        put for the rest of a pass, so every later prefix cuts at least
-        `floor`: the cut among locked nodes plus, for each unlocked node,
-        the lighter of its edge weights to locked nodes on side 0 and on
-        side 1. A pass ends once `floor` reaches the cut of its best
-        prefix, since only a strictly smaller cut would replace that
-        prefix.
+        Work that cannot change the result is skipped, by two lower bounds
+        on the cut of any split a pass can still reach. `cut_lb` holds for
+        every split of every pass: 1 on a connected subgraph whose quotas
+        keep both sides nonempty, else 0 (proved there). Locked nodes stay
+        put for the rest of a pass, so every later prefix also cuts at
+        least `floor`: the cut among locked nodes plus, for each unlocked
+        node, the lighter of its edge weights to locked nodes on side 0
+        and on side 1. A split whose cut is at most `cut_lb` is returned
+        at once, as no move or swap can gain, and a pass ends once
+        max(floor, cut_lb) reaches the cut of its best prefix, since only
+        a strictly smaller cut would replace that prefix. `cut_lb` is
+        read only at a cut of 1, the one value where it can exceed 0 and
+        the cut, so a bisection that never gets there never computes it.
         """
         m = self.m
         stall_cap = max(48, m // 4)
@@ -273,7 +309,7 @@ class _Bisection:
             return out
 
         for _ in range(8):
-            if cut == 0:
+            if cut == 0 or (cut == 1 and self.cut_lb):
                 break
             group = []
             for mem in pools:
@@ -428,7 +464,8 @@ class _Bisection:
                     stall += 1
                     if stall > stall_cap:
                         break
-                if floor >= cut - best_cum:
+                bound = cut - best_cum
+                if floor >= bound or (bound == 1 and self.cut_lb):
                     break
             # gains are a function of the sides, so the order of undoing
             # does not matter
@@ -463,7 +500,7 @@ def kway_partition(g: Qodg, k: int, eps: float = 0.1) -> Partition:
     if not 0 < eps < 1:
         raise ConfigError("balance tolerance must satisfy 0 < eps < 1")
 
-    eps_f = decimal_fraction(eps)
+    eps_f = decimal_ratio(eps)
     dim_lo = {}
     dim_hi = {}
     totals = np.bincount(ann.node_dim + 1, minlength=ann.n_con + 1)[1:]

@@ -1,9 +1,10 @@
 """Ancilla-budgeted list scheduling of a bound dependency graph.
 
 Durations and routing delays are quantized to integer scheduling levels:
-the ceiling of delay / cycle time, computed exactly on the decimal values
-as written (so 2.1 us at a 0.3 us cycle is 7 levels, not the 8 that float
-division gives). Operations are processed in critical-path priority order
+the ceiling of delay / cycle time, computed exactly in integers on the
+decimal values as written, each read by `fabric.decimal_ratio` as a
+(numerator, denominator) pair (so 2.1 us at a 0.3 us cycle is 7 levels, not
+the 8 that float division gives). Operations are processed in critical-path priority order
 (longest path to any sink, ties to the lower node index), which `quantize`
 computes once per kernel, and each takes the earliest start level at which
 its predecessors have finished, routing lags have elapsed, and its core's
@@ -38,7 +39,7 @@ from operator import add
 import numpy as np
 
 from .errors import ConfigError
-from .fabric import decimal_fraction
+from .fabric import decimal_ratio
 from .partition import Partition
 from .binding import Binding
 from .qodg import Qodg
@@ -68,10 +69,13 @@ _LEVEL_LIMIT = 2**63 - 1
 def quantize(g: Qodg, dmat: np.ndarray, cfg: ScheduleConfig) -> LevelizedDurations:
     """Convert microsecond node delays and k x k routing delays to integer
     level counts, and order the nodes by priority for `list_schedule`."""
-    cyc = decimal_fraction(cfg.cycle_time)
+    c_num, c_den = decimal_ratio(cfg.cycle_time)
     delays = g.delay_us.tolist()
     d = dmat.tolist()
-    levels = {v: math.ceil(decimal_fraction(v) / cyc) for v in set(delays).union(*d)}
+    levels = {}
+    for v in set(delays).union(*d):
+        v_num, v_den = decimal_ratio(v)
+        levels[v] = -(-(v_num * c_den) // (v_den * c_num))
     longest = max(levels)  # the longest delay takes the most levels
     if levels[longest] > _LEVEL_LIMIT:
         raise ConfigError(f"a delay of {longest:g} us at cycle time {cfg.cycle_time:g} us "

@@ -339,12 +339,11 @@ def reference_kway_partition(g, k, eps=0.1) -> np.ndarray:
     start with `reference_refine` in full, a zero-cut start too. Each
     bisection's quotas and initial split come from the production
     `_Bisection`, which this does not check. Returns the assignment."""
-    from qcoremap.fabric import decimal_fraction
     from qcoremap.partition import _Bisection, _bound_pair, assign_weight_vectors
 
     n = len(g)
     ann = assign_weight_vectors(g, k)
-    eps_f = decimal_fraction(eps)
+    eps_f = Fraction(repr(float(eps))).as_integer_ratio()
     dim_lo, dim_hi = {}, {}
     for c in range(ann.n_con):
         dim_lo[c], dim_hi[c] = _bound_pair(int(np.sum(ann.node_dim == c)), k, eps_f)
@@ -623,13 +622,19 @@ def exact_geometry(a_total, k, a_min, l_code, d_max):
     return alpha_compute, alpha_core, alpha_cache, alpha_mem
 
 
-def exact_delays(alpha_compute, alpha_core, alpha_cache, alpha_mem,
-                 alpha_int, beta, gamma, manhattan):
-    """The hop and cache-load delays, with beta and gamma read as the
-    decimals they print as."""
-    beta, gamma = Fraction(str(beta)), Fraction(str(gamma))
+def exact_delay_values(alpha_compute, alpha_core, alpha_cache, alpha_mem,
+                       alpha_int, beta, gamma, manhattan):
+    """The hop and cache-load delays as exact Fractions, with beta and gamma
+    read as the decimals they print as."""
+    beta, gamma = Fraction(repr(float(beta))), Fraction(repr(float(gamma)))
     inter = manhattan * (alpha_core + alpha_int) * beta
     intra = (alpha_compute + alpha_cache + gamma * alpha_mem) / 2 * beta
+    return inter, intra
+
+
+def exact_delays(*args, **kwargs):
+    """`exact_delay_values`, each rounded once to a float."""
+    inter, intra = exact_delay_values(*args, **kwargs)
     return float(inter), float(intra)
 
 

@@ -1,4 +1,5 @@
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +22,26 @@ def test_map_exits_zero_and_prints_timings(netlist, capsys):
     out = capsys.readouterr().out
     assert out.startswith("FABRIC\n")
     assert "    timings: qodg=" in out
+
+
+@pytest.mark.parametrize("bom_netlist, bom_profile", [(True, False), (False, True), (True, True)],
+                         ids=["netlist", "profile", "both"])
+def test_byte_order_mark_is_ignored(netlist, tmp_path, capsys, bom_netlist, bom_profile):
+    # a leading UTF-8 byte-order mark (U+FEFF) was read as part of the
+    # netlist's first word (exit 3) and as the profile's first entry (exit 2)
+    qec = tmp_path / "steane.qec"
+    qec.write_text(STEANE_TEXT, encoding="utf-8")
+    assert main(["map", netlist, "--qec", str(qec), "-k", "2", "-A", "400"]) == 0
+    want = capsys.readouterr().out
+    paths = []
+    for path, bom in ((Path(netlist), bom_netlist), (qec, bom_profile)):
+        if bom:
+            marked = path.with_name("bom-" + path.name)
+            marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+            path = marked
+        paths.append(str(path))
+    assert main(["map", paths[0], "--qec", paths[1], "-k", "2", "-A", "400"]) == 0
+    assert capsys.readouterr().out == want
 
 
 def test_sweep_budget_writes_csv(netlist, tmp_path, capsys):

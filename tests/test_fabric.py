@@ -1,11 +1,15 @@
 import math
+import sys
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import single_kernel
-from oracles import exact_delays, exact_geometry
+from oracles import exact_delay_values, exact_delays, exact_geometry
 
 from qcoremap import (
     ConfigError,
@@ -19,7 +23,7 @@ from qcoremap import (
     kway_partition,
     load_qec_profile,
 )
-from qcoremap.fabric import OpCost, QecProfile
+from qcoremap.fabric import OpCost, QecProfile, decimal_ratio
 
 
 def test_steane_profile_values(steane):
@@ -188,6 +192,46 @@ def test_headline_geometry(steane):
     assert np.allclose(d, d.T)
 
 
+@st.composite
+def _geometry_inputs(draw):
+    """(budget, k, a_min, l_code, d_max). Half the draws make the compute
+    radicand budget / k / a_min * l_code + budget / k - d_max / 2 an exact
+    square n*n; d_max reaches past the budget, so some radicands are
+    negative."""
+    k = draw(st.integers(1, 64))
+    a_min = draw(st.integers(1, 400))
+    l_code = draw(st.integers(1, 50))
+    if draw(st.booleans()):
+        # budget = k a_min t makes the radicand t (l_code + a_min) - d_max / 2
+        t = draw(st.integers(1, 3000 // (l_code + a_min) + 1))
+        n = draw(st.integers(0, math.isqrt(t * (l_code + a_min))))
+        return k * a_min * t, k, a_min, l_code, 2 * (t * (l_code + a_min) - n * n)
+    budget = draw(st.integers(1, 100_000))
+    return budget, k, a_min, l_code, draw(st.integers(0, 3 * budget // k + 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_geometry_inputs())
+@example((800, 4, 28, 7, 50))      # the headline geometry
+@example((1, 1, 1, 1, 0))          # radicand 2, alpha_core 1
+@example((8, 1, 1, 1, 32))         # radicand 0
+@example((8, 1, 1, 1, 34))         # radicand -1/2
+def test_geometry_equals_the_exact_oracle(inputs):
+    budget, k, a_min, l_code, d_max = inputs
+    profile = QecProfile("h", l_code, {"H": OpCost(a_min, 1.0, True)})
+    params = FabricParams(k, budget)
+    a = Fraction(budget, k)
+    if a / a_min * l_code + a - Fraction(d_max, 2) < 0:
+        with pytest.raises(ConfigError, match=r"^ancilla budget too small .*"
+                           rf"\(per-core budget {budget / k:g}, d_max {d_max}\)$"):
+            compute_geometry(profile, params, d_max)
+        return
+    geo = compute_geometry(profile, params, d_max)
+    assert geo.d_max == d_max
+    assert (geo.alpha_compute, geo.alpha_core, geo.alpha_cache, geo.alpha_mem) == \
+        exact_geometry(budget, k, a_min, l_code, d_max)
+
+
 def test_geometry_degenerate_dmax_zero(steane):
     params = FabricParams(4, 800)
     geo = compute_geometry(steane, params, 0)
@@ -265,6 +309,58 @@ def test_delays_equal_the_exact_products(layout):
             assert d[x, y] == (intra if x == y else inter)
 
 
+_FLOAT_MAX = Fraction(sys.float_info.max)
+
+
+def _decimal(mantissa, exponent):
+    return float(f"{mantissa}e{exponent}")
+
+
+@st.composite
+def _delay_inputs(draw):
+    """(geometry, alpha_int, beta, gamma, k). beta and gamma are decimals
+    of up to 7 digits; a quarter of the draws put beta within a few ulps of
+    the largest value whose delays stay below the largest float."""
+    geo = CoreGeometry(1, *(draw(st.integers(0, 500)) for _ in range(4)))
+    alpha_int = draw(st.integers(1, 50))
+    gamma = _decimal(draw(st.integers(0, 10**7)), draw(st.integers(-9, 3)))
+    k = draw(st.integers(1, 16))
+    if draw(st.integers(0, 3)):
+        beta = _decimal(draw(st.integers(1, 10**7)), draw(st.integers(-12, 6)))
+    else:
+        # the delays are beta times these two exact factors
+        layout = grid_layout(k)
+        hops = int(np.ptp(layout[:, 0]) + np.ptp(layout[:, 1]))
+        gamma_q = Fraction(repr(gamma))
+        factor = max(hops * (geo.alpha_core + alpha_int),
+                     (geo.alpha_compute + geo.alpha_cache + gamma_q * geo.alpha_mem) / 2)
+        beta = float(min(_FLOAT_MAX / factor, _FLOAT_MAX)) if factor else sys.float_info.max
+        for _ in range(abs(step := draw(st.integers(-3, 3)))):
+            beta = math.nextafter(beta, sys.float_info.max if step > 0 else 0.0)
+    return geo, alpha_int, beta, gamma, k
+
+
+@settings(max_examples=300, deadline=None)
+@given(_delay_inputs())
+def test_delays_equal_the_exact_oracle(inputs):
+    geo, alpha_int, beta, gamma, k = inputs
+    params = FabricParams(k, 1000, beta_pmd=beta, alpha_int=alpha_int, gamma_mem=gamma)
+    layout = grid_layout(k)
+    manhattan = np.abs(layout[:, None, :] - layout[None, :, :]).sum(axis=2)
+    exact = {s: exact_delay_values(geo.alpha_compute, geo.alpha_core, geo.alpha_cache,
+                                   geo.alpha_mem, alpha_int, beta, gamma, s)
+             for s in range(int(manhattan.max()) + 1)}
+    if max(max(pair) for pair in exact.values()) > _FLOAT_MAX:
+        with pytest.raises(ConfigError, match="^routing delays exceed the largest float"):
+            delay_matrix(geo, params, layout)
+        return
+    d = delay_matrix(geo, params, layout)
+    for x in range(k):
+        for y in range(k):
+            inter, intra = exact[int(manhattan[x, y])]
+            assert d[x, y] == float(intra if x == y else inter)
+
+
 def test_delays_read_beta_and_gamma_as_decimals():
     # a hop of 21 + 3 cells at beta 0.1 is 2.4 us, not the 2.4000000000000004
     # of the binary 0.1, and the cache load (12 + 2 + 0.7 * 3) / 2 * 0.1 is
@@ -286,3 +382,22 @@ def test_inter_core_delay_linear_in_distance(steane):
                 steps = abs(int(layout[a, 0] - layout[b, 0])) + \
                     abs(int(layout[a, 1] - layout[b, 1]))
                 assert d[a, b] == steps * unit
+
+
+# ----------------------------------------------------------------------
+# decimal reading
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(0.0)
+@example(-0.0)
+@example(5e-324)                    # the smallest subnormal
+@example(2.225073858507201e-308)    # the largest subnormal
+@example(2.2250738585072014e-308)   # the smallest normal
+@example(1e308)
+@example(sys.float_info.max)
+@example(0.1)
+@example(2.4000000000000004)
+def test_decimal_ratio_is_the_printed_decimal(x):
+    assert decimal_ratio(x) == Fraction(repr(x)).as_integer_ratio()
+    assert decimal_ratio(np.float64(x)) == decimal_ratio(x)

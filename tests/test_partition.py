@@ -26,10 +26,14 @@ from qcoremap import (
 )
 from qcoremap import partition
 from qcoremap.generators import random_netlist, walk_step_netlist
-from qcoremap.fabric import decimal_fraction
 from qcoremap.partition import _Bisection, _bound_pair
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def _eps(eps):
+    """eps as the (numerator, denominator) of the decimal it prints as."""
+    return Fraction(repr(eps)).as_integer_ratio()
 
 
 def _random_bisection(seed, m, n_dims, p_free, max_w, k1, k2, eps=0.1):
@@ -61,8 +65,8 @@ def _random_bisection(seed, m, n_dims, p_free, max_w, k1, k2, eps=0.1):
     k = k1 + k2 + int(rng.integers(0, 3))
     dim_lo, dim_hi = {}, {}
     for c in range(n_dims):
-        dim_lo[c], dim_hi[c] = _bound_pair(int(np.sum(node_dim == c)), k, decimal_fraction(eps))
-    _, node_hi = _bound_pair(n, k, decimal_fraction(eps))
+        dim_lo[c], dim_hi[c] = _bound_pair(int(np.sum(node_dim == c)), k, _eps(eps))
+    _, node_hi = _bound_pair(n, k, _eps(eps))
     bis = _Bisection(node_dim[nodes].tolist(), edges, k1, k2, dim_lo, dim_hi, node_hi)
     return bis, rng
 
@@ -287,6 +291,52 @@ def test_refine_reenters_a_group_whose_moves_turn_feasible_again():
     assert bis.refine(side) == 1 and side == [0, 1, 0, 1, 1, 0]
 
 
+def _counting_heapify(monkeypatch):
+    calls = []
+
+    def heapify(h):
+        calls.append(len(h))
+        partition_heapify(h)
+
+    partition_heapify = partition.heapify
+    monkeypatch.setattr(partition, "heapify", heapify)
+    return calls
+
+
+def test_refine_does_no_work_at_cut_1_on_a_connected_graph_with_both_sides_held(monkeypatch):
+    # the path 0-1-2-3 with 1..3 nodes on side 1: every reachable split
+    # keeps both sides nonempty, so none cuts fewer than one edge, and
+    # refine returns before it builds a heap
+    bis = _hand_bisection([-1] * 4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)], {}, {}, 3)
+    assert (bis.n_lo, bis.n_hi, bis.cut_lb) == (1, 3, 1)
+    calls = _counting_heapify(monkeypatch)
+    side = [1, 1, 0, 0]
+    assert reference_refine(bis, side.copy()) == [1, 1, 0, 0]
+    assert bis.refine(side) == 1 and side == [1, 1, 0, 0]
+    assert calls == []
+
+
+@pytest.mark.parametrize("edges, node_hi, start, want, lb", [
+    # two components: moving node 2 to side 0 leaves no edge cut
+    ([(0, 1, 1), (2, 3, 1)], 3, [1, 1, 1, 0], [1, 1, 0, 0], 0),
+    # the path 0-1-2-3 with 0..4 nodes on side 1: one side may empty
+    ([(0, 1, 1), (1, 2, 1), (2, 3, 1)], 4, [1, 1, 0, 0], [0, 0, 0, 0], 0),
+    # the path 0-1-...-5 with 2..4 nodes on side 1, from a cut of 3: the
+    # pass ends at a prefix of cut 1
+    ([(i, i + 1, 1) for i in range(5)], 4, [1, 0, 1, 0, 0, 0], None, 1),
+], ids=["disconnected", "side-may-empty", "connected-from-cut-3"])
+def test_refine_at_cut_1_equals_full_rescan(monkeypatch, edges, node_hi, start, want, lb):
+    bis = _hand_bisection([-1] * len(start), edges, {}, {}, node_hi)
+    assert bis.cut_lb == lb
+    calls = _counting_heapify(monkeypatch)
+    ref = reference_refine(bis, start.copy())
+    if want is not None:
+        assert ref == want
+    side = start.copy()
+    assert bis.refine(side) == _cut(bis, ref) and side == ref
+    assert _cut(bis, ref) == lb and calls
+
+
 @pytest.mark.parametrize("start", [[1, 0, 1, 0, 1], [0] * 5])
 def test_refine_returns_a_zero_cut_split_unchanged(start):
     # components {0, 2, 4} and {1, 3}; dimension 0 = {0, 1} keeps one node
@@ -314,12 +364,12 @@ def test_balance_bounds_read_eps_as_its_decimal(steane, n, eps, d_lo, d_hi):
 
 @pytest.mark.parametrize("eps", [0.05, 0.1, 0.3, 0.333])
 def test_bound_pair_equals_the_fraction_formula(eps):
-    e = decimal_fraction(eps)
+    e = Fraction(repr(eps))
     for total in range(201):
         for k in range(1, 17):
             want = (math.floor(Fraction(total // k) * (1 - e)),
                     math.floor(Fraction(-(-total // k)) * (1 + e)))
-            assert _bound_pair(total, k, e) == want
+            assert _bound_pair(total, k, _eps(eps)) == want
 
 
 def _partition_corpus():
@@ -422,10 +472,10 @@ def _assert_within_bounds(g, part, k, eps, check_nodes):
     ann = assign_weight_vectors(g, k)
     counts = np.bincount(part.assignment, minlength=k)
     if check_nodes:
-        assert counts.max() <= _bound_pair(len(g), k, decimal_fraction(eps))[1]
+        assert counts.max() <= _bound_pair(len(g), k, _eps(eps))[1]
     for c in range(ann.n_con):
         in_c = ann.node_dim == c
-        lo, hi = _bound_pair(int(in_c.sum()), k, decimal_fraction(eps))
+        lo, hi = _bound_pair(int(in_c.sum()), k, _eps(eps))
         per_part = np.bincount(part.assignment[in_c], minlength=k)
         assert lo <= per_part.min() and per_part.max() <= hi
     cut = sum(w for a, b, w in g.edges.tolist() if part.assignment[a] != part.assignment[b])

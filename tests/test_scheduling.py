@@ -1,10 +1,11 @@
 import math
 import re
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ops_to_netlist, random_ops
@@ -50,6 +51,25 @@ def test_quantize_grid_of_fractional_cycles(cycle_tenths):
     for tenths in range(1, 61):
         want = -(-tenths // cycle_tenths)
         assert _levels(tenths / 10, cycle) == (want, want), (tenths / 10, cycle)
+
+
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(delay=_positive | st.just(0.0), route=_positive, cycle=_positive)
+@example(delay=2.1, route=2.4, cycle=0.3)
+@example(delay=5e-324, route=1e308, cycle=5e-324)     # past 2**63 - 1 levels
+@example(delay=1e308, route=1.0, cycle=1e-300)
+def test_quantize_levels_are_the_exact_decimal_ceiling(delay, route, cycle):
+    want = [math.ceil(Fraction(repr(v)) / Fraction(repr(cycle))) for v in (delay, route)]
+    g = _one_op_graph(delay)
+    if max(want) > 2**63 - 1:
+        with pytest.raises(ConfigError, match="exceeds 2\\*\\*63 - 1 levels$"):
+            quantize(g, np.array([[route]]), ScheduleConfig(cycle))
+        return
+    lev = quantize(g, np.array([[route]]), ScheduleConfig(cycle))
+    assert [int(lev.dur_levels[0]), int(lev.route_levels[0, 0])] == want
 
 
 @pytest.mark.parametrize("cycle", [math.nan, math.inf])
