@@ -58,15 +58,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _read_text(path: str, error):
+    """The file's text without a leading byte-order mark, which editors on
+    Windows write; error(n) is raised if line n holds a byte that is not UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:   # exc.object: the bytes after any byte-order mark
+        # count lines as the parsers do, with str.splitlines
+        raise error(len((exc.object[:exc.start].decode() + "x").splitlines())) from None
+
+
 def _load_inputs(args):
-    # utf-8-sig drops a leading byte-order mark, which editors on Windows write
-    with open(args.netlist, "r", encoding="utf-8-sig") as fh:
-        program = parse_program(fh.read())
+    program = parse_program(_read_text(args.netlist, lambda n: NetlistError("not UTF-8", line=n)))
     if args.qec in BUNDLED:
         profile = bundled_profile(args.qec)
     else:
-        with open(args.qec, "r", encoding="utf-8-sig") as fh:
-            profile = load_qec_profile(fh.read())
+        profile = load_qec_profile(_read_text(
+            args.qec, lambda n: ConfigError(f"profile line {n}: not UTF-8")))
     return program, profile, ScheduleConfig(cycle_time=args.cycle_time)
 
 

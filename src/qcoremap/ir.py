@@ -4,7 +4,7 @@ The input format is line-oriented text ('#' starts a comment):
 
     qubit <name>
     .kernel <id> ... .endkernel        (no nesting, gate lines only inside)
-    .call <id> x<count>                (count optional, default 1)
+    .call <id> x<count>                (a .kernel id; count optional, default 1)
     <GATE> <q>[,<q>]                   GATE in {H, S, T, Tdg, X, Y, Z, CNOT}
 
 Gates appearing outside any kernel block are wrapped into implicit
@@ -112,8 +112,9 @@ class _Parser:
         if self.open_kernel is not None:
             self.error(f"kernel '{self.open_kernel}' not closed (.endkernel missing)", len(self.lines))
         self._flush_loose_run()
+        # a call (line >= 1) must name a .kernel block; a loose run's stage has line 0
         for kid, _count, lineno in self.stages:
-            if kid not in self.kernels:
+            if lineno and kid not in self.declared:
                 self.error(f"call of undefined kernel '{kid}'", lineno)
         sequence = StageSequence(tuple((kid, count) for kid, count, _ in self.stages))
         return KernelProgram(tuple(self.qubits), self.kernels, sequence)

@@ -18,10 +18,10 @@ Refinement makes exactly the steps of a full rescan of every node and pool,
 and skips only work that cannot change a partition, so every partition
 equals `tests/oracles.py::reference_kway_partition`, which refines each
 start in full; `_Bisection.refine` describes the heaps that find each step.
-Two lower bounds on every cut a pass can still reach end the work early:
-the locked-cut `floor`, and `_Bisection.cut_lb`, which is 1 on a connected
-subgraph whose quotas keep both sides nonempty. Many bisections of a walk
-kernel start at cut 1 on such a subgraph, and they make no step at all.
+One bound ends the work early: no split a pass reaches cuts fewer than
+`_Bisection.cut_lb` qubits, 1 on a connected subgraph whose quotas keep
+both sides nonempty, else 0. Many bisections of a walk kernel start at
+cut 1 on such a subgraph, and they make no step at all.
 """
 
 from __future__ import annotations
@@ -118,17 +118,6 @@ class _Bisection:
         self.d_hi = [min(k1 * dim_hi[c], n - k2 * dim_lo[c]) for c, n in zip(dims_global, q)]
         self.n_lo = max(0, self.m - k2 * node_hi)
         self.n_hi = min(k1 * node_hi, self.m)
-        # per node, (neighbour, qubits, key delta) for each edge, read only
-        # by refine: its node keys are (-gain << SH) | index with SH =
-        # m.bit_length(), so a gain change of 2w moves a key by (2w) << SH
-        sh = self.m.bit_length()
-        self.adj: list[list[tuple[int, int, int]]] = [[] for _ in range(self.m)]
-        for a, b, w in self.edges:
-            self.adj[a].append((b, w, (2 * w) << sh))
-            self.adj[b].append((a, w, (2 * w) << sh))
-        # refine's swap search depth: 1 + the most distinct neighbours of a free node
-        self.n_lead = 1 + max((len({v for v, _, _ in self.adj[i]}) for i in self.unconstrained),
-                              default=0)
 
     @cached_property
     def cut_lb(self) -> int:
@@ -144,17 +133,22 @@ class _Bisection:
         m = self.m
         if self.n_lo < 1 or self.n_hi > m - 1:
             return 0
-        seen = [False] * m
-        seen[0] = True
-        stack = [0]
-        reached = 1
-        while stack:
-            for v, _, _ in self.adj[stack.pop()]:
-                if not seen[v]:
-                    seen[v] = True
-                    reached += 1
-                    stack.append(v)
-        return int(reached == m)
+        # union-find over the edges: each union of two roots joins two components
+        root = list(range(m))
+        parts = m
+
+        def find(x):
+            while root[x] != x:
+                root[x] = root[root[x]]
+                x = root[x]
+            return x
+
+        for a, b, _ in self.edges:
+            a, b = find(a), find(b)
+            if a != b:
+                root[a] = b
+                parts -= 1
+        return int(parts == 1)
 
     # ------------------------------------------------------------------
     def initial(self) -> list[int]:
@@ -235,21 +229,26 @@ class _Bisection:
         index wins among moves and the lowest pool among swaps, and the
         unconstrained pool, searched last, must be strictly better.
 
-        Work that cannot change the result is skipped, by two lower bounds
-        on the cut of any split a pass can still reach. `cut_lb` holds for
-        every split of every pass: 1 on a connected subgraph whose quotas
-        keep both sides nonempty, else 0 (proved there). Locked nodes stay
-        put for the rest of a pass, so every later prefix also cuts at
-        least `floor`: the cut among locked nodes plus, for each unlocked
-        node, the lighter of its edge weights to locked nodes on side 0
-        and on side 1. A split whose cut is at most `cut_lb` is returned
-        at once, as no move or swap can gain, and a pass ends once
-        max(floor, cut_lb) reaches the cut of its best prefix, since only
-        a strictly smaller cut would replace that prefix. `cut_lb` is
-        read only at a cut of 1, the one value where it can exceed 0 and
-        the cut, so a bisection that never gets there never computes it.
+        Work that cannot change the result is skipped by one rule. No split
+        a pass reaches cuts fewer than `cut_lb` qubits (proved there), and
+        only a strictly smaller cut replaces a best prefix, so nothing can
+        gain once a cut c is `settled`: c = 0, or c = 1 where `cut_lb` is 1.
+        It is checked on the start's cut, before any search state is built,
+        which returns the start unchanged; on the best prefix's cut after
+        each step, which ends the pass; and on the new cut after each pass.
+        `cut_lb` is read only at a cut of 1, the one value where it can
+        exceed 0 and the cut, so a bisection that never gets there never
+        computes it.
         """
         m = self.m
+        edges = self.edges
+
+        def settled(c):
+            return c == 0 or (c == 1 and self.cut_lb)
+
+        cut = sum(w for a, b, w in edges if s[a] != s[b])   # at the start of the current pass
+        if settled(cut):
+            return cut
         stall_cap = max(48, m // 4)
         n_dims, dim, d_lo, d_hi = self.n_dims, self.dim, self.d_lo, self.d_hi
         n_lo, n_hi = self.n_lo, self.n_hi
@@ -261,22 +260,25 @@ class _Bisection:
         SP = n_dims.bit_length()
         PMASK = (1 << SP) - 1
         gain = [0] * m          # external minus internal edge weight
-        cut = 0                 # at the start of the current pass
         total = 0
-        for a, b, w in self.edges:
+        # per node, (neighbour, qubits, key delta) for each edge: a gain
+        # change of 2w moves a key by (2w) << SH
+        adj: list[list[tuple[int, int, int]]] = [[] for _ in range(m)]
+        for a, b, w in edges:
             total += w
-            if s[a] != s[b]:
-                cut += w
-            else:
+            dk = (2 * w) << SH
+            adj[a].append((b, w, dk))
+            adj[b].append((a, w, dk))
+            if s[a] == s[b]:
                 w = -w
             gain[a] += w
             gain[b] += w
         EMPTY = (total + 1) << SH   # no gain exceeds the total edge weight
         NONE = -total - 1           # below every step's gain: no step cuts more than total
-        # gains are kept as keys: a gain change of 2w moves a key by
-        # (2w) << SH, and negating the gain of u maps its key to 2u - key
+        # gains are kept as keys, and negating the gain of u maps its key to 2u - key
         key = [(-x << SH) | i for i, x in enumerate(gain)]
-        adj = self.adj
+        # the swap search depth: 1 + the most distinct neighbours of a free node
+        n_lead = 1 + max((len({v for v, _, _ in adj[i]}) for i in self.unconstrained), default=0)
 
         def w_direct(i, j):
             # a QODG node has at most four neighbours: one before and one
@@ -300,7 +302,7 @@ class _Bisection:
             # the n_lead best valid keys of group heap h, in order; a popped
             # node is marked locked meanwhile, so its other entries drop
             out = []
-            while len(out) < self.n_lead and (e := front(h)) != EMPTY:
+            while len(out) < n_lead and (e := front(h)) != EMPTY:
                 locked[heappop(h) & MASK] = True
                 out.append(e)
             for e in out:
@@ -309,8 +311,6 @@ class _Bisection:
             return out
 
         for _ in range(8):
-            if cut == 0 or (cut == 1 and self.cut_lb):
-                break
             group = []
             for mem in pools:
                 h0, h1 = [], []
@@ -326,10 +326,6 @@ class _Bisection:
             can[0:qf:2] = [x + 1 <= hi for x, hi in zip(cnt1, d_hi)]
             can[1:qf:2] = [x - 1 >= lo for x, lo in zip(cnt1, d_lo)]
             locked = [False] * m
-            # per node, qubits shared with locked nodes on side 0 and side 1
-            to0 = [0] * m
-            to1 = [0] * m
-            floor = 0
             top = [h[0] if h else EMPTY for h in group]
             heaps = ([t for t, ok in zip(top[0::2], can[0::2]) if ok and t != EMPTY],
                      [t for t, ok in zip(top[1::2], can[1::2]) if ok and t != EMPTY])
@@ -414,20 +410,11 @@ class _Bisection:
                     su = s[u] = 1 - s[u]
                     key[u] = 2 * u - key[u]
                     locked[u] = True
-                    # u's edges to locked nodes turn from a lighter side's
-                    # share into cut or uncut for good
-                    x, y = to0[u], to1[u]
-                    floor += (x if su else y) - (x if x < y else y)
-                    mine, other = (to1, to0) if su else (to0, to1)
-                    for v, w, dk in adj[u]:
+                    for v, _, dk in adj[u]:
                         sd = s[v]
                         if locked[v]:
                             key[v] += dk if sd == su else -dk
                             continue
-                        x, y = mine[v], other[v]
-                        mine[v] = x + w
-                        if x < y:
-                            floor += (w if x + w < y else y - x)
                         q = base[v] + sd
                         kv = key[v]
                         if sd == su:   # v's key rises: only a top that rose needs repair
@@ -464,8 +451,7 @@ class _Bisection:
                     stall += 1
                     if stall > stall_cap:
                         break
-                bound = cut - best_cum
-                if floor >= bound or (bound == 1 and self.cut_lb):
+                if settled(cut - best_cum):
                     break
             # gains are a function of the sides, so the order of undoing
             # does not matter
@@ -477,6 +463,8 @@ class _Bisection:
             if best_cum <= 0:
                 break
             cut -= best_cum
+            if settled(cut):
+                break
         return cut
 
 

@@ -225,10 +225,15 @@ def reference_refine(bis, side: list[int], max_passes=8) -> list[int]:
             itn[a] += w
             itn[b] += w
 
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+    for a, b, w in bis.edges:
+        adj[a].append((b, w))
+        adj[b].append((a, w))
+
     def flip(i):
         side[i] = 1 - side[i]
         ext[i], itn[i] = itn[i], ext[i]
-        for j, w, _ in bis.adj[i]:
+        for j, w in adj[i]:
             if side[j] == side[i]:
                 itn[j] += w
                 ext[j] -= w

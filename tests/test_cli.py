@@ -1,3 +1,4 @@
+import re
 from importlib import resources
 from pathlib import Path
 
@@ -53,6 +54,28 @@ def test_sweep_budget_writes_csv(netlist, tmp_path, capsys):
     assert lines[0] == "axis,latency_us,runtime_ms"
     assert [line.split(",")[0] for line in lines[1:]] == ["200", "300", "400"]
     assert capsys.readouterr().out == ""
+
+
+def test_map_dumps_one_dot_graph_per_kernel(netlist, tmp_path, capsys):
+    dot = tmp_path / "walk.dot"
+    assert main(["map", netlist, "--qec", "steane", "-k", "2", "-A", "400",
+                 "--dump-qodg", str(dot)]) == 0
+    assert capsys.readouterr().out.startswith("FABRIC\n")
+    text = dot.read_text(encoding="utf-8")
+    assert [line for line in text.splitlines() if line.startswith("digraph")] == [
+        'digraph "init" {', 'digraph "step" {']
+    assert re.search(r'^  n\d+ -> n\d+ \[qubits="\d+(,\d+)*"\];$', text, re.M)
+
+
+def test_sweep_budget_reports_saturation(netlist, capsys):
+    # the 6-qubit walk at k = 2 saturates at A = 600, inside the swept range
+    argv = ["sweep-budget", netlist, "--qec", "steane", "-k", "2",
+            "--from", "200", "--to", "800", "--step", "200"]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    _assert_one_line(err, "saturation: A=")
+    a, latency = re.fullmatch(r"saturation: A=(\d+) latency_us=(\S+)\n", err).groups()
+    assert f"\n{a},{latency}," in out
 
 
 def test_profile_file_given_by_path_loads(netlist, tmp_path, capsys):
@@ -219,6 +242,26 @@ def test_repetition_with_two_minus_signs_exits_three(tmp_path, capsys):
     bad.write_text("qubit a\n.kernel K\nH a\n.endkernel\n.call K x--5\n", encoding="utf-8")
     assert main(["map", str(bad), "--qec", "steane", "-k", "1", "-A", "100"]) == 3
     _assert_one_line(capsys.readouterr().err, "parse error: line 5: ")
+
+
+@pytest.mark.parametrize("data, line", [
+    (b"qubit a\nH a\n\xff\n", 3),
+    # a byte-order mark, a CRLF line end and a sequence cut short
+    (b"\xef\xbb\xbfqubit a\r\nH a \xe2\x82", 2),
+], ids=["latin-byte", "bom-crlf-truncated"])
+def test_netlist_byte_that_is_not_utf8_exits_three(tmp_path, capsys, data, line):
+    bad = tmp_path / "bad.qn"
+    bad.write_bytes(data)
+    assert main(["map", str(bad), "--qec", "steane", "-k", "1", "-A", "400"]) == 3
+    _assert_one_line(capsys.readouterr().err, f"parse error: line {line}: ")
+
+
+def test_profile_byte_that_is_not_utf8_exits_two(netlist, tmp_path, capsys):
+    lines = STEANE_TEXT.encode("utf-8").splitlines(keepends=True)
+    qec = tmp_path / "bad.qec"
+    qec.write_bytes(b"".join(lines[:2]) + b"# caf\xe9\n" + b"".join(lines[2:]))
+    assert main(["map", netlist, "--qec", str(qec), "-k", "2", "-A", "400"]) == 2
+    _assert_one_line(capsys.readouterr().err, "configuration error: profile line 3: ")
 
 
 @pytest.mark.parametrize("option,value", [

@@ -45,6 +45,13 @@ def test_kernels_smaller_than_k_map(text, k, steane):
         assert sorted(km.binding.part_to_core) == list(range(k))
 
 
+def test_schedule_that_fails_verification_is_an_error(steane, monkeypatch):
+    monkeypatch.setattr(driver, "verify_schedule", lambda *args: (False, ["op 0 starts early"]))
+    with pytest.raises(RuntimeError, match="^schedule for kernel 'init' at per-core budget 200 "
+                                           "failed verification: op 0 starts early$"):
+        map_program(parse_program(walk_step_netlist(6, 2, reps=2)), steane, FabricParams(2, 400))
+
+
 def test_program_without_operations_is_rejected(steane):
     with pytest.raises(ConfigError, match="^program contains no operations to map$"):
         map_program(parse_program("qubit a\n"), steane, FabricParams(2, 400))

@@ -73,6 +73,10 @@ def test_loose_run_never_takes_a_declared_kernel_id(text, steane):
     ("qubit a\nqubit b\nH a b\n", "malformed operand list for H"),
     ("qubit a\nqubit b\nH a\tb\n", "malformed operand list for H"),
     ("qubit a\nqubit b\nCNOT a,,b\n", "malformed operand list for CNOT"),
+    # a loose run's kernel has no .kernel block, so no call names it,
+    # before the run or after it
+    ("qubit a\n.call _top0\nH a\n", "line 2: call of undefined kernel '_top0'"),
+    ("qubit a\nH a\n.call _top0\n", "line 3: call of undefined kernel '_top0'"),
 ])
 def test_parse_errors(bad, what):
     with pytest.raises(NetlistError) as exc:

@@ -4,6 +4,7 @@ assignments, and results respect the documented balance bounds and the
 exhaustive two-way optimum."""
 
 import math
+from collections import deque
 from fractions import Fraction
 from pathlib import Path
 
@@ -270,9 +271,14 @@ def test_refine_searches_past_the_neighbours_of_a_leader():
     # 6 one with node 7 on side 1; 8..13 are isolated, seven nodes per side.
     # Nodes 1..6 all gain 1, so 6 ranks sixth on its side, yet the best
     # swap is (0, 6): 5 + 1 = 6, where (0, j) for j in 1..5 gains 5 + 1 - 2.
-    # Taking (0, 1) instead ends at a cut of 1
+    # Taking (0, 1) instead ends at a cut of 1. Node 0 has the most distinct
+    # neighbours, 5, so refine takes 6 leaders per side
     bis = _hand_bisection([-1] * 14, [(0, j, 1) for j in range(1, 6)] + [(6, 7, 1)], {}, {}, 7)
-    assert bis.n_lead == 6
+    neighbours = [set() for _ in range(bis.m)]
+    for a, b, _ in bis.edges:
+        neighbours[a].add(b)
+        neighbours[b].add(a)
+    assert max(map(len, neighbours)) == len(neighbours[0]) == 5
     side = [1, 0, 0, 0, 0, 0, 0, 1, 0, 1, 1, 1, 1, 1]
     want = [0, 0, 0, 0, 0, 0, 1, 1, 0, 1, 1, 1, 1, 1]
     assert reference_refine(bis, side.copy()) == want
@@ -314,6 +320,31 @@ def test_refine_does_no_work_at_cut_1_on_a_connected_graph_with_both_sides_held(
     assert reference_refine(bis, side.copy()) == [1, 1, 0, 0]
     assert bis.refine(side) == 1 and side == [1, 1, 0, 0]
     assert calls == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), m=st.integers(1, 9), k1=st.integers(1, 3), k2=st.integers(1, 3))
+def test_cut_lb_is_one_on_a_connected_graph_whose_sides_stay_nonempty(data, m, k1, k2):
+    # random edge lists: disconnected graphs, isolated nodes and parallel
+    # edges, and half of them laid over a path, so connected; node_hi from
+    # 0 to m + 1 gives every n_lo and n_hi, 0 and m too
+    pairs = st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)).filter(lambda e: e[0] != e[1])
+    edges = [(a, b, w) for (a, b), w in
+             data.draw(st.lists(st.tuples(pairs, st.integers(1, 3)), max_size=2 * m))]
+    if data.draw(st.booleans()):
+        edges += [(i, i + 1, 1) for i in range(m - 1)]
+    edges += data.draw(st.lists(st.sampled_from(edges), max_size=3)) if edges else []
+    bis = _Bisection([-1] * m, edges, k1, k2, {}, {}, data.draw(st.integers(0, m + 1)))
+    # breadth-first search from node 0, rescanning the edge list per node
+    seen, frontier = {0}, deque([0])
+    while frontier:
+        u = frontier.popleft()
+        for a, b, _ in edges:
+            v = b if a == u else a if b == u else None
+            if v is not None and v not in seen:
+                seen.add(v)
+                frontier.append(v)
+    assert bis.cut_lb == int(bis.n_lo >= 1 and bis.n_hi <= m - 1 and len(seen) == m)
 
 
 @pytest.mark.parametrize("edges, node_hi, start, want, lb", [
