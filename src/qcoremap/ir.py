@@ -20,6 +20,8 @@ from .errors import NetlistError
 
 GATE_KINDS = ("H", "S", "T", "Tdg", "X", "Y", "Z", "CNOT")
 TWO_QUBIT_KINDS = frozenset({"CNOT"})
+# the bound on a .call count, the int64 bound scheduling levels use
+_COUNT_LIMIT = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -185,9 +187,14 @@ class _Parser:
         count = 1
         if len(parts) == 3:
             spec = parts[2]
-            if not spec.startswith("x") or not spec[1:].removeprefix("-").isdecimal():
+            digits = spec[1:].removeprefix("-")
+            if not spec.startswith("x") or not digits.isdecimal():
                 self.error(f"bad repetition '{spec}' (expected x<count>)", lineno)
-            count = int(spec[1:])
+            # 2**63 - 1 has 19 digits; a longer count is refused before int(),
+            # which raises on a string of over 4,300 digits
+            count = int(spec[1:]) if len(digits.lstrip("0")) <= 19 else None
+            if count is None or count > _COUNT_LIMIT:
+                self.error("repetition count must be from 1 to 2**63 - 1", lineno)
             if count < 1:
                 self.error(f"repetition count must be >= 1, got {count}", lineno)
         self._flush_loose_run()

@@ -13,7 +13,7 @@ window.
 
 Each core's ancilla pool is tracked as a timetable, the cumulative-resource
 profile of RCPSP scheduling: a sorted list of breakpoint levels and the
-ancilla in use from each breakpoint to the next (`_schedule_impl`). Placing
+ancilla in use from each breakpoint to the next (`list_schedule`). Placing
 an operation walks and splits only the segments its window touches, so the
 cost depends on the number of operations, not on how many levels a fine
 cycle time makes them span. `verify_schedule` re-checks the schedule
@@ -100,32 +100,62 @@ class ScheduledOp:
 
 @dataclass(frozen=True)
 class MappedSchedule:
+    """A kernel's schedule; ops[i] is the op of node i, for every node."""
     ops: tuple[ScheduledOp, ...]
     makespan: int
     latency_us: float
 
 
-def _schedule_impl(order, dur, anc, core, preds, route, n_cores, budget):
-    """Greedy earliest-feasible-start scheduling in a fixed priority order.
+def _priorities(preds, dur: list[int]) -> list[int]:
+    """Longest duration path from each node to any sink, itself included."""
+    # in reverse index order every successor of v is final before v, and
+    # prio[v] holds the best of them until dur[v] is added
+    prio = [0] * len(dur)
+    for v in range(len(dur) - 1, -1, -1):
+        p = prio[v] = prio[v] + dur[v]
+        for u in preds[v]:
+            if p > prio[u]:
+                prio[u] = p
+    return prio
 
-    Levels are 1-based. Core c's timetable is bps[c], sorted breakpoint
-    levels starting at 1, and uses[c][i], the ancilla in use from level
-    bps[c][i] until the next breakpoint; the last segment runs on forever
-    and stays empty. An op starts no earlier than its inputs arrive; each
-    segment of its window that is too full for it moves the start to that
-    segment's end. That is the earliest feasible start, the same one a
-    level-by-level occupancy scan finds (`tests/oracles.py` keeps that scan
-    as the reference). A zero-level op starts when its inputs arrive and
-    holds no ancilla. Every argument is a Python int or nested lists or
-    tuples of them, not numpy. Returns the start levels, indexed by node.
+
+def list_schedule(g: Qodg, partition: Partition, binding: Binding,
+                  budget_per_core: int, lev: LevelizedDurations) -> MappedSchedule:
+    """Schedule every operation once, honoring precedence+routing lags and
+    the per-core ancilla budget at every level it occupies. Op i of the
+    schedule is node i.
+
+    Greedy earliest-feasible-start scheduling in the priority order
+    `lev.order`. Levels are 1-based. Core c's timetable is bps[c], sorted
+    breakpoint levels starting at 1, and uses[c][i], the ancilla in use
+    from level bps[c][i] until the next breakpoint; the last segment runs
+    on forever and stays empty. An op starts no earlier than its inputs
+    arrive; each segment of its window that is too full for it moves the
+    start to that segment's end. That is the earliest feasible start, the
+    same one a level-by-level occupancy scan finds (`tests/oracles.py`
+    keeps that scan as the reference). A zero-level op starts when its
+    inputs arrive and holds no ancilla.
     """
-    start = [0] * len(order)
-    bps = [[1] for _ in range(n_cores)]
-    uses = [[0] for _ in range(n_cores)]
-    for x in order:
+    n = len(g)
+    core = [binding.part_to_core[p] for p in partition.assignment.tolist()]
+    if n and int(g.ancilla.max()) > budget_per_core:
+        raise ConfigError(
+            f"operation needs {int(g.ancilla.max())} ancilla, exceeding the per-core budget {budget_per_core}"
+        )
+    if n == 0:
+        return MappedSchedule((), 0, 0.0)
+
+    # the loop reads Python ints, not numpy scalars, which compare slower
+    dur = lev.dur_levels.tolist()
+    anc = g.ancilla.tolist()
+    route = lev.route_levels.tolist()
+    start = [0] * n
+    bps = [[1] for _ in binding.part_to_core]
+    uses = [[0] for _ in binding.part_to_core]
+    for x in lev.order:
         c = core[x]
         ready = 1
-        for p in preds[x]:
+        for p in g.preds[x]:
             cand = start[p] + dur[p] + route[core[p]][c]
             if cand > ready:
                 ready = cand
@@ -134,7 +164,7 @@ def _schedule_impl(order, dur, anc, core, preds, route, n_cores, budget):
             start[x] = ready
             continue
         bp, use = bps[c], uses[c]
-        cap = budget - anc[x]
+        cap = budget_per_core - anc[x]
         s = ready
         i = bisect_right(bp, s) - 1
         while True:
@@ -160,41 +190,7 @@ def _schedule_impl(order, dur, anc, core, preds, route, n_cores, budget):
         a = anc[x]
         for m in range(h, j):
             use[m] += a
-    return start
 
-
-def _priorities(preds, dur: list[int]) -> list[int]:
-    """Longest duration path from each node to any sink, itself included."""
-    # in reverse index order every successor of v is final before v, and
-    # prio[v] holds the best of them until dur[v] is added
-    prio = [0] * len(dur)
-    for v in range(len(dur) - 1, -1, -1):
-        p = prio[v] = prio[v] + dur[v]
-        for u in preds[v]:
-            if p > prio[u]:
-                prio[u] = p
-    return prio
-
-
-def list_schedule(g: Qodg, partition: Partition, binding: Binding,
-                  budget_per_core: int, lev: LevelizedDurations) -> MappedSchedule:
-    """Schedule every operation once, honoring precedence+routing lags and
-    the per-core ancilla budget at every level it occupies."""
-    n = len(g)
-    core = [binding.part_to_core[p] for p in partition.assignment.tolist()]
-    anc = g.ancilla
-    if n and int(anc.max()) > budget_per_core:
-        raise ConfigError(
-            f"operation needs {int(anc.max())} ancilla, exceeding the per-core budget {budget_per_core}"
-        )
-    if n == 0:
-        return MappedSchedule((), 0, 0.0)
-
-    dur = lev.dur_levels.tolist()
-    start = _schedule_impl(
-        lev.order, dur, anc.tolist(), core, g.preds,
-        lev.route_levels.tolist(), len(binding.part_to_core), budget_per_core,
-    )
     ops = tuple(map(ScheduledOp, range(n), [op.kind for op in g.ops], core, start, dur))
     makespan = max(map(add, start, dur)) - 1
     if makespan >= _LEVEL_LIMIT:
@@ -252,46 +248,37 @@ def verify_schedule(sched: MappedSchedule, g: Qodg, partition: Partition,
                     lev: LevelizedDurations) -> tuple[bool, list[str]]:
     """Independent re-check of the schedule constraints.
 
-    Verifies: each op scheduled exactly once at level >= 1 for its quantized
-    duration; precedence with routing lags; per-core ancilla occupancy
-    within budget at every level, reported once per over-budget run of
-    levels at one occupancy; and the makespan covering every op's finish.
-    An op whose node is not in the graph is reported and left out of the
-    other checks; of a node scheduled more than once, the last op is
-    checked. Violations are returned as human-readable strings; empty list
-    means pass.
+    A schedule whose ops are not nodes 0..n-1 in order (one too many or
+    too few, or op i holding another node) gets that one violation and no
+    other check. Otherwise verifies: each op at level >= 1, for its
+    quantized duration, on its bound core; precedence with routing lags;
+    per-core ancilla occupancy within budget at every level, reported once
+    per over-budget run of levels at one occupancy; and the makespan
+    covering every op's finish. Violations are returned as human-readable
+    strings; empty list means pass.
     """
+    ops = sched.ops
+    if len(ops) != len(g):
+        return (False, [f"{len(ops)} ops for {len(g)} nodes"])
+    misplaced = next((i for i, op in enumerate(ops) if op.node != i), None)
+    if misplaced is not None:
+        return (False, [f"op {misplaced} holds node {ops[misplaced].node}"])
+
     violations: list[str] = []
-    n = len(g)
     dur = lev.dur_levels.tolist()
     route = lev.route_levels.tolist()
     core = [binding.part_to_core[p] for p in partition.assignment.tolist()]
-    by_node: list[ScheduledOp | None] = [None] * n
-    seen: list[int] = []    # scheduled nodes, in order of first appearance
-    for op in sched.ops:
-        v = op.node
-        if not 0 <= v < n:
-            violations.append(f"op {v} not in graph")
-            continue
-        if by_node[v] is None:
-            seen.append(v)
-        else:
-            violations.append(f"op {v} scheduled more than once")
-        by_node[v] = op
-    for i, op in enumerate(by_node):
-        if op is None:
-            violations.append(f"op {i} never scheduled")
-            continue
+    for i, op in enumerate(ops):
         if op.start < 1:
             violations.append(f"op {i} starts before level 1")
         if op.dur_levels != dur[i]:
             violations.append(f"op {i} lasts {op.dur_levels} levels, "
                               f"quantized duration is {dur[i]}")
+        if op.core != core[i]:
+            violations.append(f"op {i} on core {op.core}, bound to {core[i]}")
 
     for u, v, _ in g.edges.tolist():
-        a, b = by_node[u], by_node[v]
-        if a is None or b is None:
-            continue
+        a, b = ops[u], ops[v]
         lag = route[core[u]][core[v]]
         if a.start + a.dur_levels + lag > b.start:
             violations.append(
@@ -299,11 +286,6 @@ def verify_schedule(sched: MappedSchedule, g: Qodg, partition: Partition,
                 f"{a.start}+{a.dur_levels}+{lag} > {b.start}"
             )
 
-    ops = [by_node[v] for v in seen]
-    for op in ops:
-        want_core = core[op.node]
-        if op.core != want_core:
-            violations.append(f"op {op.node} on core {op.core}, bound to {want_core}")
     if ops:
         seg_core, seg_start, seg_use = _ancilla_segments(ops, g.ancilla)
         # an over-budget segment is never its core's last, which holds 0
@@ -312,8 +294,7 @@ def verify_schedule(sched: MappedSchedule, g: Qodg, partition: Partition,
                 f"core {seg_core[j]} levels {seg_start[j]}-{seg_start[j + 1] - 1}: "
                 f"ancilla {seg_use[j]} > budget {budget_per_core}"
             )
-
-    finish = [op.start + op.dur_levels - 1 for op in ops]
-    if finish and max(finish) != sched.makespan:
-        violations.append(f"makespan {sched.makespan} != max finish {max(finish)}")
+        finish = max(op.start + op.dur_levels - 1 for op in ops)
+        if finish != sched.makespan:
+            violations.append(f"makespan {sched.makespan} != max finish {finish}")
     return (not violations, violations)

@@ -244,6 +244,15 @@ def test_repetition_with_two_minus_signs_exits_three(tmp_path, capsys):
     _assert_one_line(capsys.readouterr().err, "parse error: line 5: ")
 
 
+def test_repetition_count_past_the_int64_bound_exits_three(tmp_path, capsys):
+    # a 310-digit count, whose latency product does not fit in a float
+    bad = tmp_path / "bad.qn"
+    bad.write_text(f"qubit a\n.kernel K\nH a\n.endkernel\n.call K x1{'0' * 309}\n",
+                   encoding="utf-8")
+    assert main(["map", str(bad), "--qec", "steane", "-k", "1", "-A", "100"]) == 3
+    _assert_one_line(capsys.readouterr().err, "parse error: line 5: ")
+
+
 @pytest.mark.parametrize("data, line", [
     (b"qubit a\nH a\n\xff\n", 3),
     # a byte-order mark, a CRLF line end and a sequence cut short

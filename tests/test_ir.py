@@ -28,6 +28,21 @@ def test_call_default_count_is_one():
     assert p.sequence.stages == (("K", 1),)
 
 
+def test_call_count_may_reach_the_int64_bound():
+    p = parse_program(f"qubit q0\n.kernel K\nH q0\n.endkernel\n.call K x{2**63 - 1}\n")
+    assert p.sequence.stages == (("K", 2**63 - 1),)
+
+
+# 2**63, a count too large to convert to a float, and one past int()'s
+# limit on digits
+@pytest.mark.parametrize("count", [2**63, "1" + "0" * 309, "9" * 5000],
+                         ids=["2**63", "310-digits", "5000-digits"])
+def test_call_count_past_the_int64_bound_is_rejected(count):
+    with pytest.raises(NetlistError) as exc:
+        parse_program(f"qubit q0\n.kernel K\nH q0\n.endkernel\n.call K x{count}\n")
+    assert str(exc.value) == "line 5: repetition count must be from 1 to 2**63 - 1"
+
+
 @pytest.mark.parametrize("text", [
     "qubit a\nH a\n.kernel _top0\nT a\n.endkernel\n.call _top0\n",
     "qubit a\n.kernel _top0\nT a\n.endkernel\nH a\n.call _top0\n",

@@ -141,6 +141,7 @@ def _assert_matches_levelwise(g, core, lev, budget, sched, k):
 def test_timetable_starts_equal_the_levelwise_scan(seed, k, cycle):
     g, core, lev, budget, sched = _bound_schedule(seed, k, cycle)
     _assert_matches_levelwise(g, core, lev, budget, sched, k)
+    assert [op.node for op in sched.ops] == list(range(len(g)))
 
 
 @settings(max_examples=120, deadline=None)
@@ -282,9 +283,9 @@ def test_verifier_flags_ops_shorter_than_their_quantized_duration(walk_map):
 def test_verifier_flags_a_duplicated_op(walk_map):
     km, budget = walk_map
     ops = km.schedule.ops
-    ok, violations = _verify(km, replace(km.schedule, ops=ops + (ops[3],)), budget)
-    assert not ok
-    assert "op 3 scheduled more than once" in violations
+    n = len(km.qodg)
+    assert _verify(km, replace(km.schedule, ops=ops + (ops[3],)), budget) == (
+        False, [f"{n + 1} ops for {n} nodes"])
 
 
 def test_verifier_reports_an_op_not_in_the_graph(uniform_profile):
@@ -294,7 +295,7 @@ def test_verifier_reports_an_op_not_in_the_graph(uniform_profile):
     assert len(sched.ops) == 2
     for node in (5, -1):
         extra = replace(sched, ops=sched.ops + (ScheduledOp(node, "H", 0, 1, 1),))
-        assert verify_schedule(extra, g, part, binding, 10, lev) == (False, [f"op {node} not in graph"])
+        assert verify_schedule(extra, g, part, binding, 10, lev) == (False, ["3 ops for 2 nodes"])
 
 
 def test_verifier_flags_an_op_never_scheduled(walk_map):
@@ -303,8 +304,18 @@ def test_verifier_flags_an_op_never_scheduled(walk_map):
     # an op that ends before the makespan, so the makespan still holds
     i = next(op.node for op in ops if op.start + op.dur_levels - 1 < km.schedule.makespan)
     kept = tuple(op for op in ops if op.node != i)
+    n = len(km.qodg)
     assert _verify(km, replace(km.schedule, ops=kept), budget) == (
-        False, [f"op {i} never scheduled"])
+        False, [f"{n - 1} ops for {n} nodes"])
+
+
+def test_verifier_rejects_ops_out_of_node_order(walk_map):
+    km, budget = walk_map
+    ops = list(km.schedule.ops)
+    # a complete, otherwise valid schedule: only the order is wrong
+    ops[3], ops[4] = ops[4], ops[3]
+    assert _verify(km, replace(km.schedule, ops=tuple(ops)), budget) == (
+        False, ["op 3 holds node 4"])
 
 
 def test_verifier_flags_an_op_starting_before_level_1(walk_map):
